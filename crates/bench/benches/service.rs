@@ -6,10 +6,12 @@
 //!
 //! - **cpu**: raw local compute. Scales with physical cores (on a 1-core
 //!   container both widths are equivalent by construction).
-//! - **rpc**: each fresh job additionally pays a simulated 20 ms
-//!   remote-LLM round trip — the regime a deployed service actually runs
-//!   in, where worker concurrency hides latency rather than splitting
-//!   compute. This arm scales with the worker count on any machine.
+//! - **rpc**: each backbone LLM call additionally pays a simulated
+//!   0.5 ms remote round trip (a flat `LatencyProfile`, ~18 ms over the
+//!   ~36 backbone calls of a job) — the regime a deployed service
+//!   actually runs in, where worker concurrency hides latency rather than
+//!   splitting compute. This arm scales with the worker count on any
+//!   machine.
 //!
 //! All service instances share one pre-built knowledge index so the
 //! comparison isolates diagnosis throughput from index construction; the
@@ -28,13 +30,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ioagentd::{DiagnosisService, JobRequest, Retriever, ServiceConfig};
+use simllm::{FaultPlan, LatencyProfile};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracebench::TraceBench;
 
 const N_JOBS: usize = 64;
-const RPC_LATENCY: Duration = Duration::from_millis(20);
+/// Simulated remote round trip per backbone LLM call.
+const RPC_LATENCY: Duration = Duration::from_micros(500);
+
+fn rpc_plan() -> FaultPlan {
+    FaultPlan::new().with_profile(LatencyProfile::flat(RPC_LATENCY))
+}
 
 /// 64 heterogeneous jobs: the 40 TraceBench traces cycled, with the model
 /// alternating so repeated traces are still distinct (cache-busting) work.
@@ -72,14 +80,11 @@ fn bench_service(c: &mut Criterion) {
     group.sample_size(5);
 
     let mut summary: Vec<(String, Duration)> = Vec::new();
-    for (arm, rpc) in [("cpu", Duration::ZERO), ("rpc", RPC_LATENCY)] {
+    for (arm, plan) in [("cpu", None), ("rpc", Some(rpc_plan()))] {
         for workers in [1, n_workers] {
-            let service = DiagnosisService::with_shared_index(
-                ServiceConfig::with_workers(workers)
-                    .cache_capacity(0)
-                    .rpc_latency(rpc),
-                Arc::clone(&index),
-            );
+            let mut config = ServiceConfig::with_workers(workers).cache_capacity(0);
+            config.fault_plan = plan.clone();
+            let service = DiagnosisService::with_shared_index(config, Arc::clone(&index));
             let label = format!("{arm}_{workers}worker");
             group.bench_with_input(BenchmarkId::new("batch64", &label), &jobs, |b, jobs| {
                 b.iter(|| black_box(service.run_batch(jobs.to_vec()).unwrap()));
@@ -92,16 +97,15 @@ fn bench_service(c: &mut Criterion) {
     // Combined grain: half the workers, each running its jobs over a
     // 2-thread intra-job shim pool — the same workers × intra-threads
     // budget as the plain rpc_N arm, but split across both grains. Shows
-    // the thread-budget interaction (README "Parallelism model"); with the
-    // per-JOB rpc sleep, job-level concurrency is what hides latency, so
-    // this arm is expected to trail rpc_N on latency and match it on
-    // correctness-relevant throughput shape.
+    // the thread-budget interaction (README "Parallelism model"): the
+    // latency is per backbone call, so the intra-job threads hide some of
+    // it inside each job while half as many jobs run at once.
     let combined_workers = (n_workers / 2).max(1);
     let combined = DiagnosisService::with_shared_index(
         ServiceConfig::with_workers(combined_workers)
             .intra_threads(2)
             .cache_capacity(0)
-            .rpc_latency(RPC_LATENCY),
+            .fault_plan(rpc_plan()),
         Arc::clone(&index),
     );
     let combined_label = format!("rpc_combined_{combined_workers}x2");

@@ -52,7 +52,7 @@
 //!                      the cap is 25x the base (default: 2)
 //!   --hedge-ms N       hedge a slow LLM attempt with a duplicate request
 //!                      after max(N ms, observed p95 attempt latency);
-//!                      first answer wins, the loser is cancelled
+//!                      first answer wins, the loser is dropped unbilled
 //!                      (default: off)
 //!   --llm-faults SPEC  simulate heavy-tailed latency and injected faults
 //!                      in the LLM layer; SPEC is comma-separated k=v,

@@ -52,8 +52,6 @@ pub enum ErrorKind {
     InvalidRequest,
     /// The backbone or reflection model matches no known profile.
     UnknownModel,
-    /// The bounded job queue was full (non-blocking submission only).
-    QueueFull,
     /// The service is shutting down and accepts no new jobs.
     Shutdown,
     /// An injected LLM timeout ended the job (retries disabled).
@@ -77,7 +75,6 @@ impl ErrorKind {
             ErrorKind::MalformedJson => "malformed_json",
             ErrorKind::InvalidRequest => "invalid_request",
             ErrorKind::UnknownModel => "unknown_model",
-            ErrorKind::QueueFull => "queue_full",
             ErrorKind::Shutdown => "shutdown",
             ErrorKind::LlmTimeout => "llm_timeout",
             ErrorKind::LlmRateLimited => "llm_rate_limited",
@@ -108,7 +105,6 @@ impl From<&SubmitError> for ErrorKind {
     fn from(e: &SubmitError) -> ErrorKind {
         match e {
             SubmitError::UnknownModel(_) => ErrorKind::UnknownModel,
-            SubmitError::QueueFull => ErrorKind::QueueFull,
             SubmitError::ShuttingDown => ErrorKind::Shutdown,
         }
     }
@@ -868,11 +864,6 @@ mod tests {
         assert_eq!(
             render_error("j1", (&unknown).into(), &unknown.to_string()),
             r#"{"error":"unknown model profile \"gpt-9\"","error_kind":"unknown_model","id":"j1"}"#
-        );
-        let full = SubmitError::QueueFull;
-        assert_eq!(
-            render_error("j2", (&full).into(), &full.to_string()),
-            r#"{"error":"job queue is full","error_kind":"queue_full","id":"j2"}"#
         );
         let down = SubmitError::ShuttingDown;
         assert_eq!(

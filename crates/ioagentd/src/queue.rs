@@ -15,15 +15,6 @@ use std::sync::{Condvar, Mutex};
 #[derive(Debug)]
 pub struct QueueClosed<T>(pub T);
 
-/// Error returned by [`BoundedQueue::try_push`].
-#[derive(Debug)]
-pub enum TryPushError<T> {
-    /// The queue is at capacity; the item is returned.
-    Full(T),
-    /// The queue is closed; the item is returned.
-    Closed(T),
-}
-
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
@@ -92,20 +83,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Enqueue without blocking.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut state = self.lock();
-        if state.closed {
-            return Err(TryPushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(TryPushError::Full(item));
-        }
-        state.items.push_back(item);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Dequeue, blocking while empty. Returns `None` once the queue is
     /// closed *and* drained.
     pub fn pop(&self) -> Option<T> {
@@ -162,15 +139,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn try_push_reports_full() {
-        let q = BoundedQueue::new(1);
-        q.try_push(1).unwrap();
-        assert!(matches!(q.try_push(2), Err(TryPushError::Full(2))));
-        q.close();
-        assert!(matches!(q.try_push(3), Err(TryPushError::Closed(3))));
     }
 
     #[test]

@@ -5,21 +5,29 @@
 //! [`LanguageModel`], so the agent pipeline needs no changes: every
 //! completion the pipeline issues flows through the resilience loop.
 //!
+//! The loop is an event loop on the job's own thread; it starts no
+//! thread. The simulator generates a request's content once
+//! ([`SimLlm::prepare`]) and draws each attempt's latency and fault the
+//! moment it launches, so an in-flight attempt is a value with a known
+//! finish time. Each round sleeps until the earliest of an attempt's
+//! finish, the hedge launch, or the deadline, then handles that event.
+//!
 //! - **Bounded retries**: an injected fault triggers up to
 //!   [`ResiliencePolicy::max_retries`] re-deliveries with deterministic
 //!   decorrelated backoff. The backoff draw comes from the simulator's
-//!   attempt-keyed fault domain (`rng_for_attempt`, lane
-//!   `0x4000_0000 | round`), so wait times replay bit-identically too.
+//!   attempt-keyed fault domain (lane `0x4000_0000 | round`), so wait
+//!   times replay bit-identically too.
 //! - **Hedged requests**: after a delay derived from the live
 //!   `service.llm_attempt_ns` quantile, a duplicate of the in-flight
-//!   attempt launches on hedge lane `0x8000_0000 | round`. First success
-//!   wins; the loser is cancelled cooperatively mid-sleep via the
-//!   [`CancelToken`] on its request. Because content draws are keyed by
-//!   (model, prompt, salt) — never by attempt or timing — the winning
-//!   completion is byte-identical whichever lane delivers it.
+//!   attempt launches on hedge lane `0x8000_0000 | round`, reusing the
+//!   round's content. The first success is delivered and billed; the
+//!   loser is dropped unbilled, its span marked `cancelled=true`.
+//!   Because content draws are keyed by (model, prompt, salt) — never by
+//!   attempt or timing — the delivered completion is byte-identical
+//!   whichever lane wins, and usage is charged once per completion.
 //! - **Deadlines**: an absolute per-job deadline caps the whole loop.
-//!   On expiry every in-flight attempt is cancelled and the job fails
-//!   with `deadline_exceeded`.
+//!   On expiry every in-flight attempt is dropped and the job fails with
+//!   `deadline_exceeded`.
 //!
 //! The first failure latches: subsequent completions on the same job
 //! fail fast with an empty completion, so a doomed job stops burning
@@ -28,10 +36,9 @@
 
 use ioobserve::{Counter, Histogram};
 use simllm::{
-    rng::rng_for_attempt, CancelToken, Completion, CompletionRequest, FaultKind, LanguageModel,
-    LlmError, ModelProfile, SimLlm,
+    sleep_until, Attempt, AttemptFault, Completion, CompletionRequest, FaultKind, LanguageModel,
+    ModelProfile, Prepared, SimLlm,
 };
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -189,8 +196,8 @@ pub struct ResilienceCounters {
     pub fault_rate_limited: Arc<Counter>,
     /// Injected truncations observed (`service.faults.truncated`).
     pub fault_truncated: Arc<Counter>,
-    /// Latency of successful delivery attempts
-    /// (`service.llm_attempt_ns`) — the quantile source for hedge delays.
+    /// Drawn latency of delivered attempts (`service.llm_attempt_ns`) —
+    /// the quantile source for hedge delays.
     pub attempt_ns: Arc<Histogram>,
 }
 
@@ -222,10 +229,7 @@ impl ResilienceCounters {
 /// One race round's outcome.
 enum RoundOutcome {
     Won(Completion),
-    Fault {
-        kind: FaultKind,
-        retry_after: Option<Duration>,
-    },
+    Fault(AttemptFault),
     Deadline,
 }
 
@@ -311,7 +315,7 @@ impl ResilientLlm {
     /// Deterministic decorrelated-jitter backoff before retry `round`
     /// (≥ 1): uniform in `[base, min(base·3^round, cap)]`, drawn from
     /// the attempt-keyed fault domain so reruns replay the same waits.
-    fn backoff(&self, request: &CompletionRequest, round: u32) -> Duration {
+    fn backoff(&self, prepared: &Prepared, round: u32) -> Duration {
         let base = self.policy.backoff_base.as_nanos() as u64;
         let cap = self.policy.backoff_cap.as_nanos() as u64;
         if base == 0 || cap <= base {
@@ -320,164 +324,88 @@ impl ResilientLlm {
         let hi = base
             .saturating_mul(3u64.saturating_pow(round.min(32)))
             .min(cap);
-        let full = format!("{}\n{}", request.system, request.user);
-        let mut rng = rng_for_attempt(
-            self.inner.name(),
-            &full,
-            request.salt,
-            BACKOFF_LANE | (round & !BACKOFF_LANE),
-        );
+        let mut rng = prepared.lane_rng(BACKOFF_LANE | (round & !BACKOFF_LANE));
         use rand::Rng;
         Duration::from_nanos(rng.gen_range(base..=hi))
     }
 
-    /// Run one retry round: the primary attempt on lane `round`, plus —
-    /// past the hedge delay — a duplicate on the hedge lane. First
-    /// success wins and cancels the other; `attempts` counts every
-    /// launched delivery attempt.
-    fn race(&self, request: &CompletionRequest, round: u32, attempts: &mut u32) -> RoundOutcome {
-        let primary_req = request
-            .clone()
-            .with_attempt(round)
-            .with_cancel(CancelToken::new());
+    /// Run one retry round: the primary attempt on lane `round` and —
+    /// once the hedge delay passes with the primary still in flight — a
+    /// duplicate on the hedge lane. Sleeps to each event in time order
+    /// (ties go to the primary). The first success wins and is billed;
+    /// the other attempt is dropped. `attempts` counts every launched
+    /// delivery attempt.
+    fn race(&self, prepared: &Prepared, round: u32, attempts: &mut u32) -> RoundOutcome {
         *attempts += 1;
-
-        let hedge_delay = self.hedge_delay();
-        if hedge_delay.is_none() && self.deadline.is_none() {
-            // No hedging and nothing to enforce mid-attempt: run inline,
-            // without a racing thread.
-            return match self.timed_attempt(&primary_req) {
-                Ok(completion) => RoundOutcome::Won(completion),
-                Err(LlmError::Fault { kind, retry_after }) => {
-                    self.counters.fault(kind).inc();
-                    RoundOutcome::Fault { kind, retry_after }
-                }
-                // Nothing cancels the token on this path.
-                Err(LlmError::Cancelled) => unreachable!("inline attempt has no canceller"),
-            };
-        }
-
-        let hedge_req = hedge_delay.map(|_| {
-            request
-                .clone()
-                .with_attempt(HEDGE_LANE | (round & !HEDGE_LANE))
-                .with_cancel(CancelToken::new())
-        });
-        let launch = Instant::now();
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(bool, Result<Completion, LlmError>, Instant)>();
-            {
-                let tx = tx.clone();
-                let req = &primary_req;
-                scope.spawn(move || {
-                    let outcome = self.timed_attempt(req);
-                    let _ = tx.send((false, outcome, Instant::now()));
-                });
+        let primary = prepared.launch(round);
+        let primary_finish = primary.finish;
+        let mut hedge_at = self.hedge_delay().map(|d| Instant::now() + d);
+        let mut in_flight: [Option<Attempt>; 2] = [Some(primary), None];
+        loop {
+            let (finish, lane) = in_flight
+                .iter()
+                .enumerate()
+                .filter_map(|(i, a)| a.as_ref().map(|a| (a.finish, i)))
+                .min()
+                .expect("a round always has an attempt in flight");
+            let hedge_due = hedge_at.filter(|&at| at < finish);
+            let next = hedge_due.unwrap_or(finish);
+            if let Some(deadline) = self.deadline.filter(|&d| d < next) {
+                sleep_until(deadline);
+                in_flight.into_iter().flatten().for_each(Attempt::abandon);
+                return RoundOutcome::Deadline;
             }
-            let mut hedge_at = hedge_delay.map(|d| launch + d);
-            let mut outstanding = 1u32;
-            let mut last_fault: Option<(FaultKind, Option<Duration>)> = None;
-            let cancel_all = || {
-                primary_req.cancel.cancel();
-                if let Some(h) = &hedge_req {
-                    h.cancel.cancel();
-                }
-            };
-            loop {
-                let now = Instant::now();
-                if let Some(deadline) = self.deadline {
-                    if now >= deadline {
-                        cancel_all();
-                        return RoundOutcome::Deadline;
+            sleep_until(next);
+            if hedge_due.is_some() {
+                hedge_at = None;
+                self.counters.hedges.inc();
+                *attempts += 1;
+                in_flight[1] = Some(prepared.launch(HEDGE_LANE | (round & !HEDGE_LANE)));
+                continue;
+            }
+            let attempt = in_flight[lane]
+                .take()
+                .expect("picked from the in-flight set");
+            let latency = attempt.draw.latency;
+            match prepared.resolve(attempt) {
+                Ok(completion) => {
+                    self.counters.attempt_ns.record_duration(latency);
+                    if lane == 1 {
+                        self.counters.hedge_wins.inc();
+                        ioobserve::metrics()
+                            .histogram("hedge.win_margin_ns")
+                            .record_duration(primary_finish.saturating_duration_since(finish));
                     }
+                    in_flight.into_iter().flatten().for_each(Attempt::abandon);
+                    return RoundOutcome::Won(completion);
                 }
-                if let Some(at) = hedge_at {
-                    if now >= at {
-                        hedge_at = None;
-                        let hedge = hedge_req.as_ref().expect("hedge_at implies hedge_req");
-                        self.counters.hedges.inc();
-                        *attempts += 1;
-                        outstanding += 1;
-                        let tx = tx.clone();
-                        scope.spawn(move || {
-                            let outcome = self.timed_attempt(hedge);
-                            let _ = tx.send((true, outcome, Instant::now()));
-                        });
-                    }
-                }
-                // Sleep until the next event: a result, the hedge launch,
-                // or the deadline.
-                let mut wait = Duration::from_millis(50);
-                if let Some(at) = hedge_at {
-                    wait = wait.min(at.saturating_duration_since(now));
-                }
-                if let Some(deadline) = self.deadline {
-                    wait = wait.min(deadline.saturating_duration_since(now));
-                }
-                match rx.recv_timeout(wait) {
-                    Ok((is_hedge, Ok(completion), finish)) => {
-                        cancel_all();
-                        if is_hedge {
-                            self.counters.hedge_wins.inc();
-                            // The simulator's draws are deterministic, so
-                            // the loser's projected finish — and hence the
-                            // exact margin the hedge won by — is knowable.
-                            let projected =
-                                launch + self.inner.preview_attempt(&primary_req).latency;
-                            let margin = projected.saturating_duration_since(finish);
-                            ioobserve::metrics()
-                                .histogram("hedge.win_margin_ns")
-                                .record_duration(margin);
-                        }
-                        return RoundOutcome::Won(completion);
-                    }
-                    Ok((_, Err(LlmError::Fault { kind, retry_after }), _)) => {
-                        self.counters.fault(kind).inc();
-                        outstanding -= 1;
-                        last_fault = Some((kind, retry_after));
-                        if outstanding == 0 {
-                            // Every launched attempt faulted; hand the
-                            // round back to the retry loop rather than
-                            // waiting out a not-yet-launched hedge.
-                            return RoundOutcome::Fault { kind, retry_after };
-                        }
-                    }
-                    Ok((_, Err(LlmError::Cancelled), _)) => {
-                        outstanding -= 1;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        // All senders gone with no success: both attempts
-                        // resolved and were handled above.
-                        let (kind, retry_after) =
-                            last_fault.expect("disconnected without any outcome");
-                        return RoundOutcome::Fault { kind, retry_after };
+                Err(fault) => {
+                    self.counters.fault(fault.kind).inc();
+                    // Every launched attempt faulted: hand the round back
+                    // to the retry loop rather than waiting out a
+                    // not-yet-launched hedge.
+                    if in_flight.iter().all(Option::is_none) {
+                        return RoundOutcome::Fault(fault);
                     }
                 }
             }
-        })
-    }
-
-    /// One delivery attempt, recording successful-attempt latency into
-    /// the hedge-delay quantile source.
-    fn timed_attempt(&self, request: &CompletionRequest) -> Result<Completion, LlmError> {
-        let start = Instant::now();
-        let outcome = self.inner.try_complete(request);
-        if outcome.is_ok() {
-            self.counters.attempt_ns.record_duration(start.elapsed());
         }
-        outcome
     }
 
-    /// The full resilience loop for one completion.
+    /// The full resilience loop for one completion. The content is
+    /// generated once and shared by every round and lane.
     fn complete_resilient(&self, request: &CompletionRequest) -> Result<Completion, JobFailure> {
+        if self.remaining().is_some_and(|r| r.is_zero()) {
+            return Err(JobFailure::DeadlineExceeded);
+        }
+        let prepared = self.inner.prepare(request);
         let mut round = 0u32;
         let mut attempts = 0u32;
         let mut retry_hint: Option<Duration> = None;
         loop {
             if round > 0 {
                 self.counters.retries.inc();
-                let mut wait = self.backoff(request, round);
+                let mut wait = self.backoff(&prepared, round);
                 if let Some(hint) = retry_hint.take() {
                     wait = wait.max(hint);
                 }
@@ -490,27 +418,27 @@ impl ResilientLlm {
                 if !wait.is_zero() {
                     std::thread::sleep(wait);
                 }
+                if self.remaining().is_some_and(|r| r.is_zero()) {
+                    return Err(JobFailure::DeadlineExceeded);
+                }
             }
-            if self.remaining().is_some_and(|r| r.is_zero()) {
-                return Err(JobFailure::DeadlineExceeded);
-            }
-            match self.race(request, round, &mut attempts) {
+            match self.race(&prepared, round, &mut attempts) {
                 RoundOutcome::Won(completion) => {
                     ioobserve::metrics()
                         .histogram("llm.attempts")
                         .record(attempts as u64);
                     return Ok(completion);
                 }
-                RoundOutcome::Fault { kind, retry_after } => match self.policy.max_retries {
-                    Some(0) => return Err(JobFailure::Fault(kind)),
+                RoundOutcome::Fault(fault) => match self.policy.max_retries {
+                    Some(0) => return Err(JobFailure::Fault(fault.kind)),
                     Some(max) if round >= max => {
                         return Err(JobFailure::RetriesExhausted {
                             attempts,
-                            last: kind,
+                            last: fault.kind,
                         })
                     }
                     _ => {
-                        retry_hint = retry_after;
+                        retry_hint = fault.retry_after;
                         round += 1;
                     }
                 },
@@ -577,7 +505,8 @@ mod tests {
         (0..4096)
             .find(|&s| {
                 model
-                    .preview_attempt(&req.clone().with_salt(s))
+                    .prepare(&req.clone().with_salt(s))
+                    .draw(0)
                     .fault
                     .is_some()
             })
@@ -717,8 +646,8 @@ mod tests {
         let probe = model();
         let salt = (0..4096)
             .find(|&s| {
-                let slow = probe.preview_attempt(&request().with_salt(s).with_attempt(0));
-                let fast = probe.preview_attempt(&request().with_salt(s).with_attempt(HEDGE_LANE));
+                let prepared = probe.prepare(&request().with_salt(s));
+                let (slow, fast) = (prepared.draw(0), prepared.draw(HEDGE_LANE));
                 slow.fault.is_none()
                     && fast.fault.is_none()
                     && slow.latency > Duration::from_secs(1)

@@ -20,7 +20,7 @@
 //!   the [`ServiceConfig`] docs for how to split it).
 
 use crate::cache::LruCache;
-use crate::queue::{BoundedQueue, QueueClosed, TryPushError};
+use crate::queue::{BoundedQueue, QueueClosed};
 use crate::resilience::{JobFailure, ResilienceCounters, ResiliencePolicy, ResilientLlm};
 use darshan::DarshanTrace;
 use ioagent_core::{AgentConfig, IoAgent};
@@ -59,13 +59,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Result cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Simulated remote-LLM round-trip budget charged per fresh job (zero
-    /// by default). A deployed service fronts network-hosted models whose
-    /// latency — not local compute — dominates job time; workers sleep
-    /// this long per cache-missing job so benchmarks can reproduce the
-    /// latency-bound regime on any machine. Never applied to cache hits
-    /// and never affects diagnosis content.
-    pub simulated_rpc_latency: Duration,
     /// Persistent state directory (`None` — the default — keeps the
     /// pre-existing in-memory-only behaviour). When set, completed
     /// diagnoses are journalled to disk and served across restarts, and
@@ -96,8 +89,9 @@ pub struct ServiceConfig {
     pub sq8_rerank_pool: usize,
     /// Default per-job deadline, measured from enqueue (`None` — the
     /// default — is no deadline). A job whose deadline expires in the
-    /// queue is shed at dequeue; mid-execution expiry cancels in-flight
-    /// LLM attempts. Per-request `deadline_ms` overrides this.
+    /// queue is shed at dequeue; mid-execution expiry drops in-flight
+    /// LLM attempts and fails the job. Per-request `deadline_ms`
+    /// overrides this.
     pub deadline: Option<Duration>,
     /// Failure model installed on every job's backbone LLM (`None` — the
     /// default — keeps the fault-free simulator). Content is unaffected:
@@ -120,7 +114,6 @@ impl Default for ServiceConfig {
             intra_threads: 1,
             queue_capacity: 2 * workers,
             cache_capacity: 256,
-            simulated_rpc_latency: Duration::ZERO,
             state_dir: None,
             ivf_clusters: 0,
             ivf_nprobe: 0,
@@ -153,12 +146,6 @@ impl ServiceConfig {
     /// Builder-style queue bound override.
     pub fn queue_capacity(mut self, jobs: usize) -> Self {
         self.queue_capacity = jobs.max(1);
-        self
-    }
-
-    /// Builder-style simulated per-job RPC latency override.
-    pub fn rpc_latency(mut self, latency: Duration) -> Self {
-        self.simulated_rpc_latency = latency;
         self
     }
 
@@ -379,9 +366,6 @@ fn fresh_trace_id() -> String {
 pub enum SubmitError {
     /// The model name matches no known profile.
     UnknownModel(String),
-    /// The bounded queue is full ([`DiagnosisService::try_submit`] only;
-    /// blocking [`DiagnosisService::submit`] waits instead).
-    QueueFull,
     /// The service is shutting down.
     ShuttingDown,
 }
@@ -390,7 +374,6 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::UnknownModel(m) => write!(f, "unknown model profile {m:?}"),
-            SubmitError::QueueFull => write!(f, "job queue is full"),
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
@@ -541,7 +524,6 @@ struct Shared {
     retriever: Arc<Retriever>,
     /// Disk-backed result journal (`None` with persistence off).
     store: Option<Mutex<ResultStore>>,
-    rpc_latency: Duration,
     intra_threads: usize,
     /// Default per-job deadline (request `deadline` overrides).
     deadline: Option<Duration>,
@@ -740,7 +722,6 @@ impl DiagnosisService {
             counters: ServiceCounters::new(),
             retriever,
             store: store.map(Mutex::new),
-            rpc_latency: config.simulated_rpc_latency,
             intra_threads: config.intra_threads.max(1),
             deadline: config.deadline,
             fault_plan: config.fault_plan.clone(),
@@ -844,50 +825,6 @@ impl DiagnosisService {
             .map(|d| Instant::now() + d)
     }
 
-    /// [`DiagnosisService::submit`] without backpressure blocking: a full
-    /// queue returns [`SubmitError::QueueFull`] immediately instead of
-    /// waiting for a worker. Cache hits are still answered inline (they
-    /// never need queue space).
-    pub fn try_submit(&self, request: JobRequest) -> Result<JobTicket, SubmitError> {
-        Self::validate_models(&request)?;
-        let key = request.fingerprint();
-        let trace_id = request.trace_id.clone().unwrap_or_else(fresh_trace_id);
-        let (reply, receiver) = mpsc::channel();
-        let ticket = JobTicket {
-            id: request.id.clone(),
-            receiver,
-        };
-        if let Some(diagnosis) = self.shared.lookup(&key) {
-            let result = JobResult {
-                id: request.id,
-                diagnosis,
-                cached: true,
-                worker: usize::MAX,
-                metrics: JobMetrics::default(),
-                trace_id,
-                failure: None,
-            };
-            self.shared.record(&result);
-            let _ = reply.send(result);
-            return Ok(ticket);
-        }
-        let deadline_at = self.deadline_at(&request);
-        let job = QueuedJob {
-            request,
-            key,
-            trace_id,
-            enqueued: Instant::now(),
-            enqueued_ns: ioobserve::tracer().now_ns(),
-            deadline_at,
-            reply,
-        };
-        match self.shared.queue.try_push(job) {
-            Ok(()) => Ok(ticket),
-            Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TryPushError::Closed(_)) => Err(SubmitError::ShuttingDown),
-        }
-    }
-
     /// Submit many jobs, returning one ticket per job in input order.
     /// Model names are validated up front so a bad batch fails atomically
     /// before any work is enqueued.
@@ -956,7 +893,7 @@ impl DiagnosisService {
     }
 
     /// Count one request-level failure (malformed line, unknown model,
-    /// full queue, …) against the windowed `service.errors` counter.
+    /// shutdown, …) against the windowed `service.errors` counter.
     /// Front ends call this when they render an error reply, so the
     /// errors/s rate and any `errors`-based SLO see protocol rejections
     /// as well as service-side refusals.
@@ -1058,13 +995,7 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
                     trace_id: job.trace_id,
                     failure: None,
                 },
-                None => {
-                    if !shared.rpc_latency.is_zero() {
-                        let _rpc_span = tracer.span("stage.rpc_wait");
-                        std::thread::sleep(shared.rpc_latency);
-                    }
-                    execute_fresh(shared, &job, worker_idx, &intra_pool, queue_wait, started)
-                }
+                None => execute_fresh(shared, &job, worker_idx, &intra_pool, queue_wait, started),
             }
         };
         if let Some(failure) = &result.failure {

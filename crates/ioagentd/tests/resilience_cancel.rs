@@ -1,9 +1,9 @@
-//! First-wins hedging is *cooperative cancellation*, not abandonment:
-//! when the hedge beats a straggling primary, the primary attempt must
-//! wake from its simulated latency sleep, record `cancelled=true` on its
-//! own `llm.call` span, and commit no usage. This test installs the
-//! in-memory tracer (fine detail, so per-LLM-call spans are real) and
-//! inspects the spans the race actually left behind.
+//! First-wins hedging drops the loser unbilled: when the hedge beats a
+//! straggling primary, the race returns at the hedge's finish instead of
+//! sleeping out the primary's latency, the primary's own `llm.call` span
+//! records `cancelled=true`, and only the winner commits usage. This test
+//! installs the in-memory tracer (fine detail, so per-LLM-call spans are
+//! real) and inspects the spans the race actually left behind.
 
 use ioagentd::{HedgePolicy, ResilienceCounters, ResiliencePolicy, ResilientLlm};
 use simllm::{CompletionRequest, FaultPlan, LanguageModel, LatencyProfile, SimLlm, TailSpec};
@@ -45,8 +45,8 @@ fn losing_attempt_is_cancelled_and_its_span_says_so() {
     let probe = model();
     let salt = (0..4096)
         .find(|&s| {
-            let slow = probe.preview_attempt(&request().with_salt(s).with_attempt(0));
-            let fast = probe.preview_attempt(&request().with_salt(s).with_attempt(HEDGE_LANE));
+            let prepared = probe.prepare(&request().with_salt(s));
+            let (slow, fast) = (prepared.draw(0), prepared.draw(HEDGE_LANE));
             slow.fault.is_none()
                 && fast.fault.is_none()
                 && slow.latency > Duration::from_secs(1)

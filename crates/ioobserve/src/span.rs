@@ -673,15 +673,30 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return Span { state: None };
         };
+        self.open(
+            inner,
+            name,
+            inner.clock.now_ns(),
+            self.current_span_id(),
+            fine,
+        )
+    }
+
+    /// The innermost live span on this thread (0 if none, or when
+    /// disabled): the parent [`Tracer::span`] would pick. Pass it to
+    /// [`Tracer::span_child_fine`] to open several spans as siblings.
+    pub fn current_span_id(&self) -> u64 {
+        let Some(inner) = &self.inner else {
+            return 0;
+        };
         let token = Arc::as_ptr(inner) as usize;
-        let parent = SPAN_STACK.with(|s| {
+        SPAN_STACK.with(|s| {
             s.borrow()
                 .iter()
                 .rev()
                 .find(|(t, _, _)| *t == token)
                 .map_or(0, |(_, id, _)| *id)
-        });
-        self.open(inner, name, inner.clock.now_ns(), parent, fine)
+        })
     }
 
     /// Fine-detail variant of [`Tracer::span_child`].
@@ -1207,7 +1222,7 @@ mod tests {
             let mut job = t.span("job");
             drop(t.span_fine("llm.call"));
             clock.advance(1_000_000);
-            job.set_attr("error", "queue_full");
+            job.set_attr("error", "deadline_exceeded");
         }
         let records = t.drain_memory();
         assert!(records.iter().any(|r| r.name == "llm.call"));

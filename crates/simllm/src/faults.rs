@@ -9,7 +9,7 @@
 //! over the base latency, and injected faults.
 //!
 //! Every draw comes from a ChaCha stream seeded by (model, prompt, salt,
-//! attempt) in a domain separate from the content stream
+//! attempt lane) in a domain separate from the content stream
 //! ([`crate::rng::rng_for_attempt`]). Two consequences the test suite
 //! pins:
 //!
@@ -20,11 +20,18 @@
 //!   draws the same latency and the same fault in every run, so a tail
 //!   benchmark is reproducible bit-for-bit.
 //!
+//! Because an attempt's whole outcome is known the moment it launches,
+//! an in-flight attempt is a value ([`crate::Attempt`]): its caller
+//! sleeps until the earliest event it cares about and resolves attempts
+//! in finish order. A racing caller (hedging) keeps every attempt of a
+//! round on the calling thread, delivers the first success, and drops
+//! the loser unbilled: nothing is cancelled mid-sleep, because only the
+//! caller ever sleeps.
+//!
 //! [`SimLlm`]: crate::SimLlm
 
 use crate::rng::rng_for_attempt;
 use rand::Rng;
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Streaming latency profile: a fixed time-to-first-token plus a
@@ -158,29 +165,6 @@ impl FaultKind {
     }
 }
 
-/// Why `SimLlm::try_complete` returned no completion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LlmError {
-    /// The attempt drew an injected fault.
-    Fault {
-        /// The fault class.
-        kind: FaultKind,
-        /// Suggested wait before retrying (rate-limit errors only).
-        retry_after: Option<Duration>,
-    },
-    /// The caller cancelled the attempt mid-flight (hedging).
-    Cancelled,
-}
-
-impl std::fmt::Display for LlmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LlmError::Fault { kind, .. } => write!(f, "llm fault: {}", kind.as_str()),
-            LlmError::Cancelled => write!(f, "attempt cancelled"),
-        }
-    }
-}
-
 /// The full failure model: latency profile × heavy tail × fault rates.
 /// An empty plan (the default) reproduces the pre-existing behaviour:
 /// zero latency, no faults.
@@ -191,8 +175,8 @@ pub struct FaultPlan {
     faults: Option<FaultSpec>,
 }
 
-/// Deterministic preview of one delivery attempt: how long it will take
-/// and whether it will fault, before (or without) simulating it.
+/// The drawn outcome of one delivery attempt: how long it takes and
+/// whether it faults, known before any time passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptDraw {
     /// Simulated wall time until the attempt resolves.
@@ -448,81 +432,11 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
     Ok(Duration::from_nanos((value * scale_ns) as u64))
 }
 
-#[derive(Default)]
-struct CancelInner {
-    cancelled: Mutex<bool>,
-    condvar: Condvar,
-}
-
-/// Cooperative cancellation token: clone it onto a
-/// [`crate::CompletionRequest`], and a racing caller can interrupt that
-/// attempt's simulated latency sleep. Cancellation is sticky and
-/// idempotent. The default token is never cancelled.
-#[derive(Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<CancelInner>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Cancel: every in-flight and future [`CancelToken::sleep`] on this
-    /// token returns `false` immediately.
-    pub fn cancel(&self) {
-        let mut cancelled = self
-            .inner
-            .cancelled
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *cancelled = true;
-        self.inner.condvar.notify_all();
-    }
-
-    /// Whether the token has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        *self
-            .inner
-            .cancelled
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Sleep for `d`, waking early on cancellation. Returns `true` when
-    /// the full duration elapsed, `false` when cancelled first (a
-    /// cancellation always wins, even against a zero sleep).
-    pub fn sleep(&self, d: Duration) -> bool {
-        let deadline = Instant::now() + d;
-        let mut cancelled = self
-            .inner
-            .cancelled
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if *cancelled {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            let (guard, _timeout) = self
-                .inner
-                .condvar
-                .wait_timeout(cancelled, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            cancelled = guard;
-        }
-    }
-}
-
-impl std::fmt::Debug for CancelToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelToken")
-            .field("cancelled", &self.is_cancelled())
-            .finish()
+/// Sleep the calling thread until `at` (no-op once it has passed).
+pub fn sleep_until(at: Instant) {
+    let now = Instant::now();
+    if at > now {
+        std::thread::sleep(at - now);
     }
 }
 
@@ -638,27 +552,5 @@ mod tests {
         assert!(FaultPlan::parse("bogus_key=1").is_err());
         assert!(FaultPlan::parse("timeout_p=1.5").is_err());
         assert!(FaultPlan::parse("ttft=10").is_err(), "suffixless duration");
-    }
-
-    #[test]
-    fn cancel_token_interrupts_sleep() {
-        let token = CancelToken::new();
-        let t2 = token.clone();
-        let handle = std::thread::spawn(move || {
-            let started = Instant::now();
-            let completed = t2.sleep(Duration::from_secs(10));
-            (completed, started.elapsed())
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        token.cancel();
-        let (completed, elapsed) = handle.join().unwrap();
-        assert!(!completed, "cancelled sleep must report interruption");
-        assert!(elapsed < Duration::from_secs(5), "woke in {elapsed:?}");
-        // Sticky: subsequent sleeps return immediately.
-        assert!(!token.sleep(Duration::from_secs(10)));
-        assert!(token.is_cancelled());
-        // An untouched token sleeps the full duration.
-        let fresh = CancelToken::new();
-        assert!(fresh.sleep(Duration::from_millis(1)));
     }
 }

@@ -37,13 +37,14 @@ pub mod rng;
 pub mod tasks;
 
 pub use faults::{
-    AttemptDraw, AttemptFault, CancelToken, FaultKind, FaultPlan, FaultSpec, LatencyProfile,
-    LlmError, TailSpec,
+    sleep_until, AttemptDraw, AttemptFault, FaultKind, FaultPlan, FaultSpec, LatencyProfile,
+    TailSpec,
 };
 pub use profile::{profile, profile_or_panic, ModelProfile, PROFILES};
 pub use report::{extract_issues, Diagnosis};
 
 use parking_lot::Mutex;
+use std::time::Instant;
 
 /// A completion request.
 #[derive(Debug, Clone, Default)]
@@ -54,14 +55,6 @@ pub struct CompletionRequest {
     pub user: String,
     /// Decorrelation salt (e.g. retry number, permutation index).
     pub salt: u64,
-    /// Delivery attempt lane. Content draws ignore it (retries and
-    /// hedges reproduce byte-identical text); latency and fault draws
-    /// are keyed by it, so each attempt resolves independently.
-    pub attempt: u32,
-    /// Cooperative cancellation for this attempt's simulated latency
-    /// (hedging: the losing duplicate is cancelled mid-sleep). The
-    /// default token is never cancelled.
-    pub cancel: CancelToken,
 }
 
 impl CompletionRequest {
@@ -71,26 +64,12 @@ impl CompletionRequest {
             system: system.into(),
             user: user.into(),
             salt: 0,
-            attempt: 0,
-            cancel: CancelToken::default(),
         }
     }
 
     /// With a specific salt.
     pub fn with_salt(mut self, salt: u64) -> Self {
         self.salt = salt;
-        self
-    }
-
-    /// On a specific delivery-attempt lane.
-    pub fn with_attempt(mut self, attempt: u32) -> Self {
-        self.attempt = attempt;
-        self
-    }
-
-    /// With a caller-held cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
         self
     }
 }
@@ -120,11 +99,6 @@ pub trait LanguageModel: Send + Sync {
     fn profile(&self) -> &ModelProfile;
     /// Complete a request, retrying internally until it succeeds.
     fn complete(&self, request: &CompletionRequest) -> Completion;
-    /// One delivery attempt, surfacing injected faults and cancellation
-    /// to the caller. Models without a failure model never fail.
-    fn try_complete(&self, request: &CompletionRequest) -> Result<Completion, LlmError> {
-        Ok(self.complete(request))
-    }
 }
 
 /// Cumulative usage across a model instance's lifetime.
@@ -160,10 +134,9 @@ impl SimLlm {
     /// Charge a simulated remote round-trip per completion. A deployed
     /// agent fronts network-hosted models whose latency — not local
     /// compute — dominates, so benchmarks use this to reproduce the
-    /// latency-bound regime on any machine (the per-call analogue of
-    /// `ioagentd`'s per-job `simulated_rpc_latency`). Output text and
-    /// usage accounting are unaffected. This is the degenerate
-    /// [`FaultPlan`]: a flat [`LatencyProfile`], no tail, no faults.
+    /// latency-bound regime on any machine. Output text and usage
+    /// accounting are unaffected. This is the degenerate [`FaultPlan`]:
+    /// a flat [`LatencyProfile`], no tail, no faults.
     pub fn with_latency(mut self, latency: std::time::Duration) -> Self {
         self.plan = self.plan.with_profile(LatencyProfile::flat(latency));
         self
@@ -181,29 +154,15 @@ impl SimLlm {
         &self.plan
     }
 
-    /// Deterministically preview one delivery attempt — its simulated
-    /// latency and fault outcome — without sleeping, faulting, or
-    /// charging usage. Possible because the simulator's draws are pure
-    /// functions of (model, prompt, salt, attempt); a hedging caller
-    /// uses this to compute the loser's exact projected finish time.
-    pub fn preview_attempt(&self, request: &CompletionRequest) -> AttemptDraw {
-        let full = format!("{}\n{}", request.system, request.user);
-        let (completion, _) = self.generate(request, &full);
-        self.plan.draw(
-            self.profile.name,
-            &full,
-            request.salt,
-            request.attempt,
-            completion.output_tokens,
-        )
-    }
-
-    /// The pure content path: attention, task dispatch, text, per-call
-    /// cost. No latency, no faults, no usage commit — callers decide
-    /// whether the attempt actually delivered.
-    fn generate(&self, request: &CompletionRequest, full: &str) -> (Completion, String) {
-        let mut rng = rng::rng_for(self.profile.name, full, request.salt);
-        let attended = context::attend(self.profile, full, &mut rng);
+    /// Generate `request`'s completion once — attention, task dispatch,
+    /// text, per-call cost — without latency, faults, or usage. Every
+    /// delivery attempt of the request shares this content, because
+    /// content draws are keyed by (model, prompt, salt), never by lane.
+    pub fn prepare(&self, request: &CompletionRequest) -> Prepared<'_> {
+        let started = Instant::now();
+        let prompt = format!("{}\n{}", request.system, request.user);
+        let mut rng = rng::rng_for(self.profile.name, &prompt, request.salt);
+        let attended = context::attend(self.profile, &prompt, &mut rng);
 
         let task = tasks::parse_task(&attended.lines).unwrap_or_else(|| "diagnose".to_string());
         let load =
@@ -221,8 +180,11 @@ impl SimLlm {
         let output_tokens = context::count_tokens(&text);
         let cost_usd =
             (attended.input_tokens + output_tokens) as f64 / 1.0e6 * self.profile.cost_per_mtok;
-        (
-            Completion {
+        Prepared {
+            model: self,
+            prompt,
+            salt: request.salt,
+            completion: Completion {
                 text,
                 input_tokens: attended.input_tokens,
                 output_tokens,
@@ -231,7 +193,9 @@ impl SimLlm {
                 cost_usd,
             },
             task,
-        )
+            parent_span: ioobserve::tracer().current_span_id(),
+            started,
+        }
     }
 
     /// Snapshot of cumulative usage. Cost is derived here from the integer
@@ -248,80 +212,69 @@ impl SimLlm {
     }
 }
 
-impl LanguageModel for SimLlm {
-    fn name(&self) -> &str {
-        self.profile.name
+/// One request's content, generated once by [`SimLlm::prepare`] and
+/// shared by all of its delivery attempts. Attempts are values: each
+/// lane's latency and fault are drawn when it launches, the caller sleeps
+/// until the attempt it cares about finishes, and only a delivered
+/// attempt is committed.
+pub struct Prepared<'a> {
+    model: &'a SimLlm,
+    /// `system\nuser`: the key of every content and attempt draw.
+    prompt: String,
+    salt: u64,
+    completion: Completion,
+    task: String,
+    /// The caller's span at prepare time; every attempt's `llm.call`
+    /// span is its child, so a hedge is a sibling of its primary.
+    parent_span: u64,
+    started: Instant,
+}
+
+impl Prepared<'_> {
+    /// What attempt `lane` will do: its latency and fault. Pure and
+    /// deterministic in (model, prompt, salt, lane).
+    pub fn draw(&self, lane: u32) -> AttemptDraw {
+        self.model.plan.draw(
+            self.model.profile.name,
+            &self.prompt,
+            self.salt,
+            lane,
+            self.completion.output_tokens,
+        )
     }
 
-    fn profile(&self) -> &ModelProfile {
-        self.profile
+    /// An RNG in the attempt-keyed domain of this request, for caller
+    /// draws that must replay per lane (retry backoff).
+    pub fn lane_rng(&self, lane: u32) -> rand_chacha::ChaCha8Rng {
+        rng::rng_for_attempt(self.model.profile.name, &self.prompt, self.salt, lane)
     }
 
-    /// Infinite-patience delivery: retry injected faults forever
-    /// (honouring rate-limit hints), return the first success. This is
-    /// the countermeasures-off baseline a resilient caller competes
-    /// against — it always succeeds eventually, with an enormous tail.
-    fn complete(&self, request: &CompletionRequest) -> Completion {
-        let mut attempts = 1u64;
-        let mut retry: Option<CompletionRequest> = None; // cloned lazily, only on retry
-        loop {
-            let req = retry.as_ref().unwrap_or(request);
-            match self.try_complete(req) {
-                Ok(completion) => {
-                    ioobserve::metrics()
-                        .histogram("llm.attempts")
-                        .record(attempts);
-                    return completion;
-                }
-                Err(LlmError::Cancelled) => {
-                    // A cancelled infinite-patience call has no network
-                    // result to return; surface the deterministic content
-                    // without charging usage (racing callers discard it).
-                    let full = format!("{}\n{}", req.system, req.user);
-                    return self.generate(req, &full).0;
-                }
-                Err(LlmError::Fault { retry_after, .. }) => {
-                    if let Some(wait) = retry_after {
-                        std::thread::sleep(wait);
-                    }
-                    let mut next = retry.take().unwrap_or_else(|| request.clone());
-                    next.attempt = next.attempt.wrapping_add(1);
-                    retry = Some(next);
-                    attempts += 1;
-                }
-            }
+    /// Launch attempt `lane` now: open its `llm.call` span and draw its
+    /// outcome. Nothing sleeps and nothing is charged; the caller waits
+    /// until [`Attempt::finish`], then [`Prepared::resolve`]s it or
+    /// [`Attempt::abandon`]s it.
+    pub fn launch(&self, lane: u32) -> Attempt {
+        let mut span = ioobserve::tracer().span_child_fine("llm.call", self.parent_span);
+        span.set_attr("model", self.model.profile.name);
+        if lane != 0 {
+            span.set_attr("attempt", lane);
+        }
+        let draw = self.draw(lane);
+        Attempt {
+            draw,
+            finish: Instant::now() + draw.latency,
+            span,
         }
     }
 
-    /// One delivery attempt on the request's attempt lane: draw latency
-    /// and fault from the plan, sleep cancellably, and commit usage and
-    /// metrics only when the attempt actually delivers. Failed and
-    /// cancelled attempts charge nothing — exactly one commit happens
-    /// per delivered completion, so usage accounting stays deterministic
-    /// whether or not faults forced retries or hedges along the way.
-    fn try_complete(&self, request: &CompletionRequest) -> Result<Completion, LlmError> {
-        let call_start = std::time::Instant::now();
-        let mut span = ioobserve::tracer().span_fine("llm.call");
-        span.set_attr("model", self.profile.name);
-        if request.attempt != 0 {
-            span.set_attr("attempt", request.attempt);
-        }
-        let full = format!("{}\n{}", request.system, request.user);
-        let (completion, task) = self.generate(request, &full);
-        let draw = self.plan.draw(
-            self.profile.name,
-            &full,
-            request.salt,
-            request.attempt,
-            completion.output_tokens,
-        );
-        if (!draw.latency.is_zero() || request.cancel.is_cancelled())
-            && !request.cancel.sleep(draw.latency)
-        {
-            span.set_attr("cancelled", true);
-            ioobserve::metrics().counter("llm.cancelled").inc();
-            return Err(LlmError::Cancelled);
-        }
+    /// Resolve a finished attempt into its drawn fault, or deliver it:
+    /// commit usage and metrics once and return the completion. Exactly
+    /// one commit happens per delivered completion, so accounting is the
+    /// same whether or not faults forced retries or hedges along the way.
+    /// `llm.call_ns` records the wall time from [`SimLlm::prepare`] to
+    /// delivery, retries and hedges included.
+    pub fn resolve(&self, attempt: Attempt) -> Result<Completion, AttemptFault> {
+        let Attempt { draw, mut span, .. } = attempt;
         if let Some(fault) = draw.fault {
             span.set_attr("fault", fault.kind.as_str());
             let counter = match fault.kind {
@@ -330,20 +283,18 @@ impl LanguageModel for SimLlm {
                 FaultKind::Truncated => "llm.fault.truncated",
             };
             ioobserve::metrics().counter(counter).inc();
-            return Err(LlmError::Fault {
-                kind: fault.kind,
-                retry_after: fault.retry_after,
-            });
+            return Err(fault);
         }
+        let completion = &self.completion;
         {
             // Integer sums only; the snapshot in [`SimLlm::usage`] derives
             // the (order-invariant) cost from these totals.
-            let mut u = self.usage.lock();
+            let mut u = self.model.usage.lock();
             u.calls += 1;
             u.input_tokens += completion.input_tokens;
             u.output_tokens += completion.output_tokens;
         }
-        span.set_attr("task", &task);
+        span.set_attr("task", &self.task);
         span.set_attr("input_tokens", completion.input_tokens);
         span.set_attr("output_tokens", completion.output_tokens);
         drop(span);
@@ -355,8 +306,65 @@ impl LanguageModel for SimLlm {
             .add(completion.output_tokens as u64);
         m.float_counter("llm.cost_usd").add(completion.cost_usd);
         m.histogram("llm.call_ns")
-            .record_duration(call_start.elapsed());
-        Ok(completion)
+            .record_duration(self.started.elapsed());
+        Ok(completion.clone())
+    }
+}
+
+/// One in-flight delivery attempt: a value, not a thread. Its outcome
+/// was drawn at launch; it resolves at [`Attempt::finish`].
+pub struct Attempt {
+    /// The drawn latency and fault.
+    pub draw: AttemptDraw,
+    /// When the attempt resolves.
+    pub finish: Instant,
+    span: ioobserve::Span,
+}
+
+impl Attempt {
+    /// Drop an attempt that lost a race (or outlived the deadline)
+    /// without billing it: its span is marked `cancelled=true`.
+    pub fn abandon(mut self) {
+        self.span.set_attr("cancelled", true);
+        ioobserve::metrics().counter("llm.cancelled").inc();
+    }
+}
+
+impl LanguageModel for SimLlm {
+    fn name(&self) -> &str {
+        self.profile.name
+    }
+
+    fn profile(&self) -> &ModelProfile {
+        self.profile
+    }
+
+    /// Infinite-patience delivery: retry injected faults forever on
+    /// lanes 0, 1, 2, … (honouring rate-limit hints), return the first
+    /// success. This is the countermeasures-off baseline a resilient
+    /// caller competes against — it always succeeds eventually, with an
+    /// enormous tail.
+    fn complete(&self, request: &CompletionRequest) -> Completion {
+        let prepared = self.prepare(request);
+        let mut lane = 0u32;
+        loop {
+            let attempt = prepared.launch(lane);
+            sleep_until(attempt.finish);
+            match prepared.resolve(attempt) {
+                Ok(completion) => {
+                    ioobserve::metrics()
+                        .histogram("llm.attempts")
+                        .record(u64::from(lane) + 1);
+                    return completion;
+                }
+                Err(fault) => {
+                    if let Some(wait) = fault.retry_after {
+                        std::thread::sleep(wait);
+                    }
+                    lane = lane.wrapping_add(1);
+                }
+            }
+        }
     }
 }
 
@@ -475,7 +483,7 @@ mod tests {
         let mut faulted = 0usize;
         for i in 0..24 {
             let r = req.clone().with_salt(i);
-            if flaky.try_complete(&r.clone().with_attempt(0)).is_err() {
+            if flaky.prepare(&r).draw(0).fault.is_some() {
                 faulted += 1;
             }
             let a = plain.complete(&r);
@@ -487,11 +495,9 @@ mod tests {
             faulted > 0,
             "plan with 70% fault rate never faulted in 24 draws"
         );
-        // try_complete above committed usage only for its successes; the
-        // paired complete() calls committed exactly once each. Totals are
-        // therefore exact multiples of the per-call cost — faults and
-        // retries never double- or under-count.
-        assert_eq!(flaky.usage().calls, 24 + (24 - faulted));
+        // Faulted attempts charge nothing and each delivered completion
+        // commits exactly once: retries never double- or under-count.
+        assert_eq!(flaky.usage(), plain.usage());
         assert_eq!(plain.usage().calls, 24);
     }
 
@@ -516,61 +522,58 @@ mod tests {
             "You are an HPC I/O expert.",
             "### TASK: diagnose\nEVIDENCE nprocs=8\nEVIDENCE posix.writes=1000",
         );
-        let draws: Vec<AttemptDraw> = (0..8)
-            .map(|a| m.preview_attempt(&req.clone().with_attempt(a)))
-            .collect();
+        let prepared = m.prepare(&req);
+        let draws: Vec<AttemptDraw> = (0..8).map(|a| prepared.draw(a)).collect();
         assert!(
             draws.iter().any(|d| *d != draws[0]),
             "8 attempt lanes drew identical timing"
         );
         let texts: std::collections::BTreeSet<String> = (0..8)
-            .map(|a| m.complete(&req.clone().with_attempt(a)).text)
+            .map(|a| prepared.resolve(prepared.launch(a)).unwrap().text)
             .collect();
         assert_eq!(texts.len(), 1, "attempt lane leaked into content");
+        assert!(texts.contains(&SimLlm::new("gpt-4o").complete(&req).text));
     }
 
     #[test]
-    fn cancelled_attempt_charges_no_usage() {
+    fn abandoned_attempt_charges_no_usage() {
         let m = SimLlm::new("gpt-4o-mini").with_latency(std::time::Duration::from_millis(50));
-        let token = CancelToken::new();
         let req = CompletionRequest::new(
             "s",
             "### TASK: filter\n## FRAGMENT\na b c\n## SOURCE\na b c",
-        )
-        .with_cancel(token.clone());
-        token.cancel();
-        assert_eq!(m.try_complete(&req), Err(LlmError::Cancelled));
+        );
+        let prepared = m.prepare(&req);
+        let attempt = prepared.launch(0);
+        assert!(attempt.finish >= Instant::now(), "launch must not sleep");
+        attempt.abandon();
         assert_eq!(
             m.usage().calls,
             0,
-            "cancelled attempt must not commit usage"
+            "abandoned attempt must not commit usage"
         );
     }
 
     #[test]
-    fn preview_matches_try_complete_outcome() {
+    fn resolve_follows_the_draw_and_commits_only_successes() {
         let m = SimLlm::new("gpt-4o").with_fault_plan(flaky_plan());
+        let mut delivered = 0;
         for salt in 0..16 {
             let req = CompletionRequest::new(
                 "s",
                 "### TASK: diagnose\nEVIDENCE nprocs=8\nEVIDENCE posix.writes=1000",
             )
             .with_salt(salt);
-            let preview = m.preview_attempt(&req);
-            let outcome = m.try_complete(&req);
-            match preview.fault {
-                Some(f) => {
-                    assert_eq!(
-                        outcome,
-                        Err(LlmError::Fault {
-                            kind: f.kind,
-                            retry_after: f.retry_after
-                        }),
-                        "salt {salt}"
-                    );
+            let prepared = m.prepare(&req);
+            let drawn = prepared.draw(0);
+            let outcome = prepared.resolve(prepared.launch(0));
+            match drawn.fault {
+                Some(f) => assert_eq!(outcome, Err(f), "salt {salt}"),
+                None => {
+                    assert!(outcome.is_ok(), "salt {salt}");
+                    delivered += 1;
                 }
-                None => assert!(outcome.is_ok(), "salt {salt}"),
             }
         }
+        assert_eq!(m.usage().calls, delivered);
     }
 }

@@ -4,11 +4,13 @@
 //! latency, injected timeouts/rate-limits/truncations forcing retries)
 //! but never *what* it says: content draws are keyed by (model, prompt,
 //! salt) only, and usage commits exactly once per delivered completion.
-//! So a faulted service — at any worker count or intra-job pool width —
-//! must produce diagnoses byte-identical to a fault-free run, with
-//! identical per-job accounting.
+//! So a faulted service — at any worker count or intra-job pool width,
+//! hedged or not — must produce diagnoses byte-identical to a fault-free
+//! run, with identical per-job accounting.
 
-use ioagentd::{DiagnosisService, JobFailure, JobRequest, ResiliencePolicy, ServiceConfig};
+use ioagentd::{
+    DiagnosisService, HedgePolicy, JobFailure, JobRequest, ResiliencePolicy, ServiceConfig,
+};
 use simllm::{FaultPlan, FaultSpec, LatencyProfile, TailSpec};
 use std::time::Duration;
 use tracebench::TraceBench;
@@ -87,15 +89,33 @@ fn faulted_service_is_byte_identical_to_fault_free_at_any_width() {
             .cache_capacity(0)
             .fault_plan(chaos_plan())
             .resilience(chaos_policy()),
+        index.clone(),
+    );
+    // Faulted and hedged: a hedge floor at or below the plan's 20µs base
+    // latency makes hedges fire, so both lanes of many rounds race. The
+    // loser is never billed, so accounting still matches exactly.
+    let hedged = DiagnosisService::with_shared_index(
+        ServiceConfig::with_workers(2)
+            .cache_capacity(0)
+            .fault_plan(chaos_plan())
+            .resilience(chaos_policy().hedged(HedgePolicy {
+                quantile: 0.95,
+                min_delay: Duration::from_micros(10),
+            })),
         index,
     );
 
     let a = narrow.run_batch(jobs.clone()).unwrap();
     let b = wide.run_batch(jobs.clone()).unwrap();
-    for ((r, x), y) in reference.iter().zip(&a).zip(&b) {
-        assert!(x.failure.is_none(), "{}: {:?}", x.id, x.failure);
-        assert!(y.failure.is_none(), "{}: {:?}", y.id, y.failure);
-        for (arm, faulted) in [("narrow", x), ("wide", y)] {
+    let c = hedged.run_batch(jobs.clone()).unwrap();
+    for (((r, x), y), z) in reference.iter().zip(&a).zip(&b).zip(&c) {
+        for (arm, faulted) in [("narrow", x), ("wide", y), ("hedged", z)] {
+            assert!(
+                faulted.failure.is_none(),
+                "{} ({arm}): {:?}",
+                faulted.id,
+                faulted.failure
+            );
             assert_eq!(
                 faulted.diagnosis.text, r.diagnosis.text,
                 "{} text diverged under faults ({arm})",
@@ -123,22 +143,29 @@ fn faulted_service_is_byte_identical_to_fault_free_at_any_width() {
     // impossible, and the draws are deterministic, so this is stable).
     let exercised = narrow.stats().retries + wide.stats().retries;
     assert!(exercised > 0, "fault plan never fired; the test is vacuous");
+    assert!(
+        hedged.stats().hedges > 0,
+        "no hedge fired; the arm is vacuous"
+    );
     clean.shutdown();
     narrow.shutdown();
     wide.shutdown();
+    hedged.shutdown();
 }
 
 #[test]
 fn jobs_expired_in_queue_are_shed_at_dequeue() {
     let suite = TraceBench::generate();
     let entry = suite.get("sb01_small_io").unwrap();
-    // One worker, and each LLM call costs a simulated 20ms of RPC: the
-    // first job occupies the worker long enough for the second job's
-    // deadline to expire while it is still queued.
+    // One worker, and each backbone LLM call costs a simulated 2ms round
+    // trip: the first job occupies the worker long enough for the second
+    // job's 5ms deadline to expire while it is still queued.
     let service = DiagnosisService::start(
         ServiceConfig::with_workers(1)
             .cache_capacity(16)
-            .rpc_latency(Duration::from_millis(20)),
+            .fault_plan(
+                FaultPlan::new().with_profile(LatencyProfile::flat(Duration::from_millis(2))),
+            ),
     );
 
     let mut slow = JobRequest::new("occupant", entry.trace.clone(), "gpt-4o-mini");
