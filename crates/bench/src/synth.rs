@@ -1,5 +1,5 @@
-//! Deterministic synthetic retrieval corpus shared by the retrieval and
-//! batch benchmarks (`benches/retrieval.rs`, `benches/batch.rs`).
+//! Deterministic synthetic retrieval corpus for the retrieval benchmark
+//! (`benches/retrieval.rs`).
 //!
 //! Every function is seeded SplitMix64, so every run — on any machine —
 //! builds the identical corpus and query set and therefore measures the
@@ -7,9 +7,8 @@
 //! collective I/O, metadata storms) and documents are **topical**: each
 //! document draws most of its tokens from one of [`TOPICS`] overlapping
 //! vocabulary slices, the way real trace descriptions cluster around one
-//! failure mode. That gives the embedding space genuine cluster structure
-//! — which is what makes IVF recall measurements meaningful; a corpus of
-//! uniform vocabulary soup has nothing for a coarse quantizer to find.
+//! failure mode, so queries score against a corpus with the cluster
+//! structure real retrieval sees rather than uniform vocabulary soup.
 
 use vecindex::VectorIndex;
 
@@ -134,32 +133,6 @@ pub fn build_corpus(target_chunks: usize) -> VectorIndex {
     ix
 }
 
-/// Build the million-scale corpus: `chunks` short (~24-token),
-/// single-chunk documents embedded at `dim` lanes.
-///
-/// A separate builder rather than a parameter on [`build_corpus`], for two
-/// reasons: the 10k benches' 1200-token documents would make a million
-/// chunks unaffordable to embed (and their committed baselines depend on
-/// `build_corpus` staying bit-identical), and short single-chunk documents
-/// are the regime the million-chunk bench models — one chunk per trace
-/// fragment description. Documents rotate through the same [`TOPICS`] as
-/// the 10k corpus, so the embedding space keeps the cluster structure that
-/// makes IVF recall measurements meaningful.
-pub fn million_corpus(chunks: usize, dim: usize) -> VectorIndex {
-    let mut ix = VectorIndex::new(ioembed::Embedder::new(dim), CHUNK_SIZE, OVERLAP);
-    let mut rng = Rng(0x4d31_4c4c_494f_4e21);
-    for doc in 0..chunks {
-        let text = synthetic_doc(&mut rng, 24, doc % TOPICS);
-        ix.add_document(
-            &format!("m-{doc:07}"),
-            &format!("[Million {doc}, BENCH 2026]"),
-            &text,
-        );
-    }
-    assert_eq!(ix.len(), chunks, "each short document must be one chunk");
-    ix
-}
-
 /// A deterministic batch of `n` 24-token queries, query `i` flavoured
 /// around topic `i % TOPICS` (so a batch mixes every topic, as concurrent
 /// traffic from many users would).
@@ -192,18 +165,5 @@ mod tests {
             assert_eq!(bits_a, bits_b, "chunk {i}");
         }
         assert_eq!(batch_queries(8), batch_queries(8));
-    }
-
-    #[test]
-    fn million_corpus_is_single_chunk_and_deterministic() {
-        let a = million_corpus(200, 64);
-        let b = million_corpus(200, 64);
-        assert_eq!(a.len(), 200, "one chunk per document");
-        assert_eq!(a.embedder().dim, 64);
-        for i in 0..a.len() {
-            let bits_a: Vec<u32> = a.vector(i).iter().map(|f| f.to_bits()).collect();
-            let bits_b: Vec<u32> = b.vector(i).iter().map(|f| f.to_bits()).collect();
-            assert_eq!(bits_a, bits_b, "chunk {i}");
-        }
     }
 }

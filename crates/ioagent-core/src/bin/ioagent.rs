@@ -15,15 +15,6 @@
 //!   --no-rag          disable domain-knowledge retrieval
 //!   --state-dir DIR   reuse/write the knowledge-index snapshot in DIR
 //!                     (the same snapshot `ioagentd --state-dir` maintains)
-//!   --ivf-clusters N  IVF-cluster the knowledge index around N coarse
-//!                     centroids (default: 0 = exact flat scan)
-//!   --nprobe N        clusters probed per retrieval (default: an eighth
-//!                     of --ivf-clusters; N >= clusters = exact mode)
-//!   --sq8             scan probed clusters over int8 (SQ8) codes and
-//!                     rerank a small candidate pool in exact f32;
-//!                     requires --ivf-clusters (scores stay exact)
-//!   --sq8-rerank-pool N  SQ8 candidates reranked in exact f32 per query
-//!                     (default: 0 = the vecindex default pool)
 //!   --list-models     print available model profiles and exit
 //!   -h, --help        print this help
 //! ```
@@ -51,11 +42,6 @@ fn usage() -> ! {
            --flat-merge      use the 1-step merge ablation\n\
            --no-rag          disable domain-knowledge retrieval\n\
            --state-dir DIR   reuse/write the knowledge-index snapshot in DIR\n\
-           --ivf-clusters N  IVF-cluster the knowledge index (0 = flat)\n\
-           --nprobe N        clusters probed per retrieval (0 = default)\n\
-           --sq8             int8 scan + exact f32 rerank of probed\n\
-                             clusters (requires --ivf-clusters)\n\
-           --sq8-rerank-pool N  SQ8 rerank-pool size (0 = default)\n\
            --list-models     print available model profiles and exit\n\
            -h, --help        print this help"
     );
@@ -69,20 +55,6 @@ fn main() {
     let mut config = AgentConfig::default();
     let mut trace_path: Option<String> = None;
     let mut state_dir: Option<String> = None;
-    let mut ivf_clusters = 0usize;
-    let mut ivf_nprobe = 0usize;
-    let mut sq8 = false;
-    let mut sq8_rerank_pool = 0usize;
-
-    let parse_count = |value: Option<String>, flag: &str| -> usize {
-        match value.map(|v| v.parse::<usize>()) {
-            Some(Ok(n)) => n,
-            _ => {
-                eprintln!("{flag} expects a non-negative integer");
-                usage();
-            }
-        }
-    };
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -93,10 +65,6 @@ fn main() {
             "--flat-merge" => config.merge = MergeStrategy::Flat,
             "--no-rag" => config.use_rag = false,
             "--state-dir" => state_dir = Some(args.next().unwrap_or_else(|| usage())),
-            "--ivf-clusters" => ivf_clusters = parse_count(args.next(), "--ivf-clusters"),
-            "--nprobe" => ivf_nprobe = parse_count(args.next(), "--nprobe"),
-            "--sq8" => sq8 = true,
-            "--sq8-rerank-pool" => sq8_rerank_pool = parse_count(args.next(), "--sq8-rerank-pool"),
             "--list-models" => {
                 println!(
                     "{:<16} {:>8} {:>12} {:>12}",
@@ -145,42 +113,6 @@ fn main() {
         std::process::exit(2);
     }
     let model = SimLlm::new(&model_name);
-    // IVF probing is opt-in; 0 clusters keeps the exact flat scan.
-    if ivf_clusters == 0 && ivf_nprobe > 0 {
-        eprintln!(
-            "[ioagent] warning: --nprobe {ivf_nprobe} has no effect without --ivf-clusters; \
-             retrieval stays an exact flat scan"
-        );
-    }
-    let ivf = (ivf_clusters > 0).then(|| {
-        if ivf_nprobe == 0 {
-            ioagent_core::IvfParams::with_default_nprobe(ivf_clusters)
-        } else {
-            ioagent_core::IvfParams {
-                clusters: ivf_clusters,
-                nprobe: ivf_nprobe,
-            }
-        }
-    });
-    // SQ8 scans probed clusters, so it has nothing to do on a flat index.
-    if sq8 && ivf_clusters == 0 {
-        eprintln!("--sq8 requires --ivf-clusters");
-        std::process::exit(2);
-    }
-    if !sq8 && sq8_rerank_pool > 0 {
-        eprintln!(
-            "[ioagent] warning: --sq8-rerank-pool {sq8_rerank_pool} has no effect without --sq8"
-        );
-    }
-    let sq8 = sq8.then(|| {
-        if sq8_rerank_pool == 0 {
-            ioagent_core::Sq8Params::default()
-        } else {
-            ioagent_core::Sq8Params {
-                rerank_pool: sq8_rerank_pool,
-            }
-        }
-    });
     // With --state-dir, the knowledge index is loaded from (or saved to)
     // the same snapshot `ioagentd` maintains, skipping the per-invocation
     // re-embedding of the corpus. Diagnoses are byte-identical either way.
@@ -190,8 +122,7 @@ fn main() {
                 eprintln!("cannot open state dir {dir:?}: {e}");
                 std::process::exit(1);
             });
-            let (retriever, provenance) =
-                ioagent_core::Retriever::build_or_load_tuned(&state, ivf, sq8);
+            let (retriever, provenance) = ioagent_core::Retriever::build_or_load(&state);
             match provenance {
                 ioagent_core::IndexProvenance::Snapshot => {
                     eprintln!("[ioagent] knowledge index loaded from snapshot")
@@ -202,11 +133,6 @@ fn main() {
             }
             IoAgent::with_shared_retriever(&model, config, std::sync::Arc::new(retriever))
         }
-        None if ivf.is_some() => IoAgent::with_shared_retriever(
-            &model,
-            config,
-            std::sync::Arc::new(ioagent_core::Retriever::build_tuned(ivf, sq8)),
-        ),
         None => IoAgent::with_config(&model, config),
     };
 

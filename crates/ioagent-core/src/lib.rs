@@ -28,5 +28,5 @@ pub mod transform;
 
 pub use agent::{AgentConfig, IoAgent};
 pub use merge::{MergeStrategy, SummaryBlock};
-pub use rag::{IndexProvenance, IvfParams, Retriever, Sq8Params};
+pub use rag::{IndexProvenance, Retriever};
 pub use session::AgentSession;

@@ -34,51 +34,6 @@ impl GroundedSource {
     }
 }
 
-/// IVF retrieval configuration: cluster the knowledge index around
-/// `clusters` coarse centroids and probe the `nprobe` most query-similar
-/// ones per search. `nprobe >= clusters` keeps retrieval byte-identical
-/// to the flat scan; smaller values trade recall for scan cost (the
-/// batch benchmark pins recall@15 ≥ 0.95 at the default probe width).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IvfParams {
-    /// Coarse cluster count (clamped to the chunk count at build time).
-    pub clusters: usize,
-    /// Clusters probed per search (clamped to `1..=clusters`).
-    pub nprobe: usize,
-}
-
-impl IvfParams {
-    /// Params with the default probe width for a cluster count: an eighth
-    /// of the clusters (at least one) — the ratio the batch benchmark
-    /// gates at ≥ 0.95 recall@15.
-    pub fn with_default_nprobe(clusters: usize) -> Self {
-        IvfParams {
-            clusters,
-            nprobe: (clusters / 8).max(1),
-        }
-    }
-}
-
-/// SQ8 scan-tier configuration: scan probed clusters over int8 codes to
-/// pick a `rerank_pool`-sized candidate pool, then rerank the pool with
-/// exact f32 cosine. Requires IVF ([`IvfParams`]); the returned top-k
-/// carries exact scores, and a pool covering every probed row is
-/// byte-identical to the f32 probe path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sq8Params {
-    /// Candidate-pool size reranked in exact f32 (0 → the vecindex
-    /// default, [`vecindex::DEFAULT_SQ8_RERANK_POOL`]).
-    pub rerank_pool: usize,
-}
-
-impl Default for Sq8Params {
-    fn default() -> Self {
-        Sq8Params {
-            rerank_pool: vecindex::DEFAULT_SQ8_RERANK_POOL,
-        }
-    }
-}
-
 /// Where a retriever's index came from (see [`Retriever::build_or_load`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexProvenance {
@@ -97,48 +52,19 @@ pub struct Retriever {
 }
 
 impl Retriever {
-    /// Build the index over the built-in corpus (flat exact scans).
+    /// Build the index over the built-in corpus.
     pub fn build() -> Self {
-        Self::build_with(None)
-    }
-
-    /// [`Retriever::build`], optionally clustering the index for IVF
-    /// probing. `None` keeps the flat exact scan.
-    pub fn build_with(ivf: Option<IvfParams>) -> Self {
-        Self::build_tuned(ivf, None)
-    }
-
-    /// [`Retriever::build_with`], optionally stacking the SQ8 scan tier on
-    /// top of the clustering.
-    ///
-    /// # Panics
-    ///
-    /// `sq8` without `ivf` is a configuration error — the SQ8 tier scans
-    /// probed clusters, so there is nothing for it to do on a flat index —
-    /// and panics rather than silently serving a different engine than
-    /// the caller configured.
-    pub fn build_tuned(ivf: Option<IvfParams>, sq8: Option<Sq8Params>) -> Self {
-        assert!(
-            sq8.is_none() || ivf.is_some(),
-            "SQ8 requires IVF clustering (set IvfParams too)"
-        );
         let mut index = VectorIndex::new(Embedder::default(), DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP);
         for doc in knowledge::corpus() {
             let text = format!("{}. {}", doc.title, doc.body);
             index.add_document(doc.id, &doc.citation(), &text);
         }
-        if let Some(p) = ivf {
-            index.enable_ivf(p.clusters, p.nprobe);
-        }
-        if let Some(p) = sq8 {
-            index.enable_sq8(p.rerank_pool);
-        }
-        Retriever { index, top_k: 15 }
+        Self::from_index(index)
     }
 
     /// Wrap an already-built index (e.g. loaded from an `iostore`
     /// snapshot) with the paper's retrieval configuration.
-    pub fn from_index(index: VectorIndex) -> Self {
+    fn from_index(index: VectorIndex) -> Self {
         Retriever { index, top_k: 15 }
     }
 
@@ -169,99 +95,12 @@ impl Retriever {
     /// not depend on which path ran. A failure to *write* the snapshot is
     /// reported in the provenance but never fails the build.
     pub fn build_or_load(state: &iostore::StateDir) -> (Self, IndexProvenance) {
-        Self::build_or_load_with(state, None)
-    }
-
-    /// [`Retriever::build_or_load`] with an IVF configuration to
-    /// reconcile against whatever the snapshot holds:
-    ///
-    /// - snapshot already clustered with the requested cluster count →
-    ///   served as-is (probe width is a runtime knob, adjusted in place);
-    /// - snapshot flat (e.g. written by a pre-IVF v1 binary) or clustered
-    ///   differently → the loaded vectors are kept and **lazily
-    ///   re-clustered** — no re-embedding — then the snapshot is re-saved
-    ///   as v2 so the next start skips the clustering too;
-    /// - IVF off but the snapshot clustered → the quantizer is detached,
-    ///   so default retrieval stays byte-identical to [`Retriever::build`].
-    pub fn build_or_load_with(
-        state: &iostore::StateDir,
-        ivf: Option<IvfParams>,
-    ) -> (Self, IndexProvenance) {
-        Self::build_or_load_tuned(state, ivf, None)
-    }
-
-    /// [`Retriever::build_or_load_with`] that also reconciles an SQ8
-    /// scan-tier request against the snapshot:
-    ///
-    /// - snapshot already carries a codebook (v3) → served as-is, the
-    ///   rerank pool is a runtime knob adjusted in place;
-    /// - snapshot clustered but codebook-less (v2) → the tier is
-    ///   **lazily trained** — no re-embedding, no re-clustering — and the
-    ///   snapshot re-saved as v3 so the next start skips the training;
-    /// - SQ8 off but the snapshot carries a codebook → the tier is
-    ///   detached in memory (the v3 snapshot is left in place for
-    ///   SQ8-enabled consumers), so retrieval stays byte-identical to the
-    ///   f32 probe path.
-    ///
-    /// # Panics
-    ///
-    /// `sq8` without `ivf` panics, as in [`Retriever::build_tuned`].
-    pub fn build_or_load_tuned(
-        state: &iostore::StateDir,
-        ivf: Option<IvfParams>,
-        sq8: Option<Sq8Params>,
-    ) -> (Self, IndexProvenance) {
-        assert!(
-            sq8.is_none() || ivf.is_some(),
-            "SQ8 requires IVF clustering (set IvfParams too)"
-        );
         let spec = Self::index_spec();
         let path = state.index_path();
         match iostore::load_index(&path, &spec) {
-            Ok(mut index) => {
-                let reclustered = match (ivf, index.ivf()) {
-                    (None, None) => false,
-                    (None, Some(_)) => {
-                        index.disable_ivf();
-                        false
-                    }
-                    (Some(p), Some(cur)) if cur.clusters() == p.clusters.clamp(1, index.len()) => {
-                        index.set_nprobe(p.nprobe);
-                        false
-                    }
-                    (Some(p), _) => {
-                        index.enable_ivf(p.clusters, p.nprobe);
-                        true
-                    }
-                };
-                // SQ8 reconciliation runs after the IVF arm: re-clustering
-                // drops any loaded codebook, so `(Some(p), None)` below
-                // also covers "reclustered, retrain the tier".
-                let retrained = match (sq8, index.sq8()) {
-                    (None, None) => false,
-                    (None, Some(_)) => {
-                        index.disable_sq8();
-                        false
-                    }
-                    (Some(p), Some(_)) => {
-                        index.set_sq8_rerank_pool(p.rerank_pool);
-                        false
-                    }
-                    (Some(p), None) => {
-                        index.enable_sq8(p.rerank_pool);
-                        true
-                    }
-                };
-                if reclustered || retrained {
-                    // Best-effort: persist the clustering/codebook for the
-                    // next start; a failed save only costs that start a
-                    // re-derivation, never correctness.
-                    let _ = iostore::save_index(&path, &index, spec.corpus_hash);
-                }
-                (Retriever::from_index(index), IndexProvenance::Snapshot)
-            }
+            Ok(index) => (Retriever::from_index(index), IndexProvenance::Snapshot),
             Err(err) => {
-                let retriever = Retriever::build_tuned(ivf, sq8);
+                let retriever = Retriever::build();
                 let mut reason = err.to_string();
                 if let Err(save_err) =
                     iostore::save_index(&path, retriever.index(), spec.corpus_hash)
@@ -477,144 +316,6 @@ mod tests {
         // The rebuild healed the snapshot in place.
         let (_retriever, provenance) = Retriever::build_or_load(&state);
         assert_eq!(provenance, IndexProvenance::Snapshot);
-    }
-
-    /// IVF with `nprobe = clusters` (exact mode) must ground queries
-    /// identically to the flat build — same sources, same scores.
-    #[test]
-    fn exact_ivf_retriever_grounds_identically_to_flat() {
-        let flat = Retriever::build();
-        let probed = Retriever::build_with(Some(IvfParams {
-            clusters: 8,
-            nprobe: 8,
-        }));
-        assert!(probed.index().ivf().is_some());
-        let mini = SimLlm::new("gpt-4o-mini");
-        for q in [
-            "the mean stripe width is 1.0 on a single OST",
-            "metadata operations dominate the runtime",
-        ] {
-            let a: Vec<(String, u32)> = flat
-                .retrieve(q, &mini)
-                .into_iter()
-                .map(|s| (s.doc_id, s.score.to_bits()))
-                .collect();
-            let b: Vec<(String, u32)> = probed
-                .retrieve(q, &mini)
-                .into_iter()
-                .map(|s| (s.doc_id, s.score.to_bits()))
-                .collect();
-            assert_eq!(a, b, "q={q:?}");
-        }
-    }
-
-    /// A flat (v1-style) snapshot served to an IVF-configured daemon is
-    /// lazily clustered — still a snapshot load, no re-embedding — and
-    /// the clustering is persisted for the next start.
-    #[test]
-    fn flat_snapshot_is_lazily_clustered_and_resaved() {
-        let (_guard, state) = TempState::new("lazy-ivf");
-        // Write a flat snapshot, as a pre-IVF deployment would have.
-        let (_flat, provenance) = Retriever::build_or_load(&state);
-        assert!(matches!(provenance, IndexProvenance::Rebuilt(_)));
-
-        let params = IvfParams::with_default_nprobe(16);
-        let (probed, provenance) = Retriever::build_or_load_with(&state, Some(params));
-        assert_eq!(provenance, IndexProvenance::Snapshot, "no rebuild");
-        let ivf = probed.index().ivf().expect("lazily clustered");
-        assert_eq!(ivf.nprobe(), params.nprobe);
-
-        // Next start finds the clustering already in the snapshot…
-        let (again, provenance) = Retriever::build_or_load_with(&state, Some(params));
-        assert_eq!(provenance, IndexProvenance::Snapshot);
-        assert_eq!(
-            again.index().ivf().unwrap().assignments(),
-            ivf.assignments(),
-            "persisted clustering must be reused byte-identically"
-        );
-
-        // …while an IVF-off consumer of the same snapshot detaches it.
-        let (flat_again, _) = Retriever::build_or_load(&state);
-        assert!(flat_again.index().ivf().is_none());
-    }
-
-    /// SQ8 with `nprobe = clusters` and a pool covering every probed row
-    /// (exact mode) must ground queries identically to the flat build —
-    /// same sources, same scores, despite scanning int8 codes first.
-    #[test]
-    fn exact_sq8_retriever_grounds_identically_to_flat() {
-        let flat = Retriever::build();
-        let sq8 = Retriever::build_tuned(
-            Some(IvfParams {
-                clusters: 8,
-                nprobe: 8,
-            }),
-            Some(Sq8Params {
-                rerank_pool: flat.len(),
-            }),
-        );
-        assert!(sq8.index().sq8().is_some());
-        let mini = SimLlm::new("gpt-4o-mini");
-        for q in [
-            "the mean stripe width is 1.0 on a single OST",
-            "metadata operations dominate the runtime",
-        ] {
-            let a: Vec<(String, u32)> = flat
-                .retrieve(q, &mini)
-                .into_iter()
-                .map(|s| (s.doc_id, s.score.to_bits()))
-                .collect();
-            let b: Vec<(String, u32)> = sq8
-                .retrieve(q, &mini)
-                .into_iter()
-                .map(|s| (s.doc_id, s.score.to_bits()))
-                .collect();
-            assert_eq!(a, b, "q={q:?}");
-        }
-    }
-
-    /// A clustered-but-codebook-less (v2-style) snapshot served to an
-    /// SQ8-configured daemon lazily trains the tier — no re-embedding, no
-    /// re-clustering — and persists it as v3 for the next start.
-    #[test]
-    fn v2_snapshot_lazily_trains_sq8_and_resaves() {
-        let (_guard, state) = TempState::new("lazy-sq8");
-        let params = IvfParams::with_default_nprobe(16);
-        // Write a clustered, codebook-less snapshot, as a pre-SQ8
-        // deployment would have.
-        let (clustered, _) = Retriever::build_or_load_with(&state, Some(params));
-        let assignments = clustered.index().ivf().unwrap().assignments().to_vec();
-
-        let sq8 = Some(Sq8Params { rerank_pool: 64 });
-        let (tiered, provenance) = Retriever::build_or_load_tuned(&state, Some(params), sq8);
-        assert_eq!(provenance, IndexProvenance::Snapshot, "no rebuild");
-        let tier = tiered.index().sq8().expect("lazily trained");
-        assert_eq!(tier.rerank_pool(), 64);
-        assert_eq!(
-            tiered.index().ivf().unwrap().assignments(),
-            assignments.as_slice(),
-            "training the tier must not re-cluster"
-        );
-
-        // Next start loads the codebook from the v3 snapshot bit-for-bit.
-        let (again, provenance) = Retriever::build_or_load_tuned(&state, Some(params), sq8);
-        assert_eq!(provenance, IndexProvenance::Snapshot);
-        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|f| f.to_bits()).collect() };
-        let loaded = again.index().sq8().unwrap();
-        assert_eq!(bits(loaded.min()), bits(tier.min()));
-        assert_eq!(bits(loaded.scale()), bits(tier.scale()));
-
-        // …while an SQ8-off consumer of the same snapshot detaches the
-        // tier but keeps the clustering.
-        let (plain, _) = Retriever::build_or_load_with(&state, Some(params));
-        assert!(plain.index().sq8().is_none());
-        assert!(plain.index().ivf().is_some());
-    }
-
-    #[test]
-    fn default_nprobe_is_an_eighth_of_clusters() {
-        assert_eq!(IvfParams::with_default_nprobe(64).nprobe, 8);
-        assert_eq!(IvfParams::with_default_nprobe(4).nprobe, 1);
     }
 
     #[test]

@@ -15,17 +15,6 @@
 //!   --cache N          result cache entries, 0 disables (default: 256)
 //!   --state-dir DIR    persist results + the knowledge-index snapshot in
 //!                      DIR and serve them across restarts (default: off)
-//!   --ivf-clusters N   cluster the knowledge index around N coarse
-//!                      centroids and probe only the nearest few per
-//!                      retrieval (default: 0 = exact flat scan)
-//!   --nprobe N         clusters probed per retrieval (default: an eighth
-//!                      of --ivf-clusters; N >= clusters = exact mode)
-//!   --sq8              scan probed clusters over int8 (SQ8) codes and
-//!                      rerank a small candidate pool in exact f32;
-//!                      requires --ivf-clusters (default: off, full-f32
-//!                      scans; returned scores are exact either way)
-//!   --sq8-rerank-pool N  SQ8 candidates reranked in exact f32 per query
-//!                      (default: 0 = the vecindex default pool)
 //!   --listen ADDR      serve the line protocol over TCP instead of stdio
 //!   --trace-dir DIR    write per-job span traces (NDJSON) into DIR
 //!                      (default: off — tracing has near-zero cost when
@@ -110,11 +99,6 @@ fn usage() -> ! {
            --queue N          job queue bound (default: 2 x workers)\n\
            --cache N          result cache entries, 0 disables (default: 256)\n\
            --state-dir DIR    persist results + index snapshot in DIR\n\
-           --ivf-clusters N   IVF-cluster the knowledge index (0 = flat)\n\
-           --nprobe N         clusters probed per retrieval (0 = default)\n\
-           --sq8              int8 scan + exact f32 rerank of probed\n\
-                              clusters (requires --ivf-clusters)\n\
-           --sq8-rerank-pool N  SQ8 rerank-pool size (0 = default)\n\
            --listen ADDR      serve over TCP (host:port) instead of stdio\n\
            --trace-dir DIR    write span traces (NDJSON) into DIR\n\
            --trace-detail D   span granularity: stage (default) | fine\n\
@@ -404,12 +388,6 @@ fn main() {
             }
             "--cache" => config.cache_capacity = parse_count(&mut args, "--cache"),
             "--state-dir" => config.state_dir = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--ivf-clusters" => config.ivf_clusters = parse_count(&mut args, "--ivf-clusters"),
-            "--nprobe" => config.ivf_nprobe = parse_count(&mut args, "--nprobe"),
-            "--sq8" => config.sq8 = true,
-            "--sq8-rerank-pool" => {
-                config.sq8_rerank_pool = parse_count(&mut args, "--sq8-rerank-pool")
-            }
             "--listen" => listen = Some(args.next().unwrap_or_else(|| usage())),
             "--trace-dir" => trace_dir = Some(args.next().unwrap_or_else(|| usage())),
             "--trace-detail" => match args.next().as_deref() {
@@ -494,29 +472,6 @@ fn main() {
     if explicit_policy {
         config = config.resilience(policy);
     }
-    // A probe width without a cluster count would silently fall back to
-    // the exact flat scan — surface the misconfiguration instead.
-    if config.ivf_clusters == 0 && config.ivf_nprobe > 0 {
-        eprintln!(
-            "[ioagentd] warning: --nprobe {} has no effect without --ivf-clusters; \
-             retrieval stays an exact flat scan",
-            config.ivf_nprobe
-        );
-    }
-    // SQ8 scans probed clusters, so it has nothing to do on a flat index;
-    // refuse the combination rather than silently serving a different
-    // engine than the operator configured.
-    if config.sq8 && config.ivf_clusters == 0 {
-        eprintln!("--sq8 requires --ivf-clusters");
-        std::process::exit(1);
-    }
-    if !config.sq8 && config.sq8_rerank_pool > 0 {
-        eprintln!(
-            "[ioagentd] warning: --sq8-rerank-pool {} has no effect without --sq8",
-            config.sq8_rerank_pool
-        );
-    }
-
     // The tracer is process-global and set-once, so it must be installed
     // before the service spawns its workers (each worker resolves the
     // tracer when it starts).
@@ -589,21 +544,7 @@ fn main() {
     if config.fault_plan.is_some() {
         eprintln!("[ioagentd] llm fault injection on");
     }
-    let ivf = config.ivf_params();
-    let sq8 = config.sq8_params();
     let service = Arc::new(DiagnosisService::start(config));
-    if let Some(p) = ivf {
-        eprintln!(
-            "[ioagentd] IVF retrieval on: {} clusters, probing {}",
-            p.clusters, p.nprobe
-        );
-    }
-    if let Some(p) = sq8 {
-        eprintln!(
-            "[ioagentd] SQ8 scan tier on: int8 scan, exact rerank pool {}",
-            p.rerank_pool
-        );
-    }
     match service.index_provenance() {
         Some(ioagentd::IndexProvenance::Snapshot) => {
             eprintln!("[ioagentd] knowledge index loaded from snapshot")

@@ -37,8 +37,8 @@ pub use cache::LruCache;
 pub use queue::BoundedQueue;
 pub use resilience::{HedgePolicy, JobFailure, ResilienceCounters, ResiliencePolicy, ResilientLlm};
 pub use service::{
-    DiagnosisService, IndexProvenance, IvfParams, JobMetrics, JobRequest, JobResult, JobTicket,
-    Retriever, ServiceConfig, ServiceStats, SubmitError,
+    DiagnosisService, IndexProvenance, JobMetrics, JobRequest, JobResult, JobTicket, Retriever,
+    ServiceConfig, ServiceStats, SubmitError,
 };
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub use ioagent_core::rag::{IndexProvenance, IvfParams, Retriever, Sq8Params};
+pub use ioagent_core::rag::{IndexProvenance, Retriever};
 
 /// Service sizing knobs.
 ///
@@ -66,27 +66,6 @@ pub struct ServiceConfig {
     /// snapshot matches the live corpus and embedder configuration.
     /// Results are byte-identical either way.
     pub state_dir: Option<PathBuf>,
-    /// IVF coarse-cluster count for the knowledge index (0 — the default
-    /// — keeps the exact flat scan). With clustering on, each retrieval
-    /// probes only the [`ServiceConfig::ivf_nprobe`] most query-similar
-    /// clusters: sub-linear scan cost, ≥ 0.95 recall@15 at the default
-    /// probe width (gated in CI by the batch benchmark).
-    pub ivf_clusters: usize,
-    /// Clusters probed per retrieval; 0 picks the default (an eighth of
-    /// the clusters, at least one). `>= ivf_clusters` is exact mode —
-    /// byte-identical to the flat scan.
-    pub ivf_nprobe: usize,
-    /// Scan probed clusters over int8 (SQ8) codes, then rerank a
-    /// candidate pool with exact f32 cosine (`false` — the default —
-    /// scans full f32). Requires `ivf_clusters > 0`: the service panics
-    /// at start on `sq8` without clustering rather than silently serving
-    /// a different engine than configured (the daemon's CLI rejects the
-    /// combination up front). Returned scores are always exact.
-    pub sq8: bool,
-    /// SQ8 candidate-pool size reranked in exact f32 per query; 0 picks
-    /// the default (`vecindex::DEFAULT_SQ8_RERANK_POOL`). A pool
-    /// covering every probed row is byte-identical to the f32 probe path.
-    pub sq8_rerank_pool: usize,
     /// Default per-job deadline, measured from enqueue (`None` — the
     /// default — is no deadline). A job whose deadline expires in the
     /// queue is shed at dequeue; mid-execution expiry drops in-flight
@@ -115,10 +94,6 @@ impl Default for ServiceConfig {
             queue_capacity: 2 * workers,
             cache_capacity: 256,
             state_dir: None,
-            ivf_clusters: 0,
-            ivf_nprobe: 0,
-            sq8: false,
-            sq8_rerank_pool: 0,
             deadline: None,
             fault_plan: None,
             resilience: None,
@@ -161,23 +136,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Builder-style IVF override: cluster the knowledge index and probe
-    /// `nprobe` clusters per retrieval (0 → the default probe width).
-    pub fn ivf(mut self, clusters: usize, nprobe: usize) -> Self {
-        self.ivf_clusters = clusters;
-        self.ivf_nprobe = nprobe;
-        self
-    }
-
-    /// Builder-style SQ8 scan-tier override: scan probed clusters over
-    /// int8 codes and rerank a `rerank_pool`-sized candidate pool in
-    /// exact f32 (0 → the default pool). Requires [`ServiceConfig::ivf`].
-    pub fn sq8(mut self, rerank_pool: usize) -> Self {
-        self.sq8 = true;
-        self.sq8_rerank_pool = rerank_pool;
-        self
-    }
-
     /// Builder-style default per-job deadline override.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -194,38 +152,6 @@ impl ServiceConfig {
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
         self.resilience = Some(policy);
         self
-    }
-
-    /// The IVF parameters this configuration asks for (`None` = flat).
-    /// `ivf_nprobe` is meaningful only with `ivf_clusters > 0`; on its
-    /// own it is ignored (the daemon's CLI warns about that combination).
-    pub fn ivf_params(&self) -> Option<IvfParams> {
-        if self.ivf_clusters == 0 {
-            return None;
-        }
-        Some(if self.ivf_nprobe == 0 {
-            IvfParams::with_default_nprobe(self.ivf_clusters)
-        } else {
-            IvfParams {
-                clusters: self.ivf_clusters,
-                nprobe: self.ivf_nprobe,
-            }
-        })
-    }
-
-    /// The SQ8 parameters this configuration asks for (`None` = full-f32
-    /// scans). Meaningful only together with [`ServiceConfig::ivf_params`]
-    /// being `Some` — the retriever build panics otherwise.
-    pub fn sq8_params(&self) -> Option<Sq8Params> {
-        self.sq8.then(|| {
-            if self.sq8_rerank_pool == 0 {
-                Sq8Params::default()
-            } else {
-                Sq8Params {
-                    rerank_pool: self.sq8_rerank_pool,
-                }
-            }
-        })
     }
 
     /// Total thread budget this configuration can have live at once.
@@ -663,12 +589,10 @@ impl DiagnosisService {
     /// [`DiagnosisService::persistence_active`]) rather than refusing to
     /// start.
     pub fn start(config: ServiceConfig) -> Self {
-        let ivf = config.ivf_params();
-        let sq8 = config.sq8_params();
         let Some(dir) = config.state_dir.clone() else {
-            return Self::with_shared_index(config, Arc::new(Retriever::build_tuned(ivf, sq8)));
+            return Self::with_shared_index(config, Arc::new(Retriever::build()));
         };
-        match Self::open_state(&dir, ivf, sq8) {
+        match Self::open_state(&dir) {
             Ok((retriever, provenance, store)) => {
                 let mut service = Self::build(config, Arc::new(retriever), Some(store));
                 service.index_provenance = Some(provenance);
@@ -678,22 +602,20 @@ impl DiagnosisService {
                 eprintln!(
                     "[ioagentd] state dir {dir:?} unusable ({e}); running without persistence"
                 );
-                Self::with_shared_index(config, Arc::new(Retriever::build_tuned(ivf, sq8)))
+                Self::with_shared_index(config, Arc::new(Retriever::build()))
             }
         }
     }
 
     fn open_state(
         dir: &std::path::Path,
-        ivf: Option<IvfParams>,
-        sq8: Option<Sq8Params>,
     ) -> std::io::Result<(Retriever, IndexProvenance, ResultStore)> {
         let state = StateDir::new(dir)?;
         // Open the (cheap, fallible) journal before building the index, so
         // an unusable journal cannot waste a corpus build that the fallback
         // path would immediately redo.
         let store = state.open_results()?;
-        let (retriever, provenance) = Retriever::build_or_load_tuned(&state, ivf, sq8);
+        let (retriever, provenance) = Retriever::build_or_load(&state);
         Ok((retriever, provenance, store))
     }
 

@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use tracebench::IssueLabel;
 
 /// Journal record format version.
-pub const JOURNAL_FORMAT_VERSION: i64 = 1;
+const JOURNAL_FORMAT_VERSION: i64 = 1;
 
 /// Compaction is considered once the file holds this many raw records.
 const COMPACT_MIN_RECORDS: usize = 64;
@@ -140,17 +140,6 @@ impl ResultStore {
         self.entries.is_empty()
     }
 
-    /// Raw records in the journal file (drops back to [`ResultStore::len`]
-    /// after compaction).
-    pub fn file_records(&self) -> usize {
-        self.file_records
-    }
-
-    /// Lines skipped while loading the journal (torn tail / corruption).
-    pub fn skipped_lines(&self) -> usize {
-        self.skipped_lines
-    }
-
     /// Current size of the journal file in bytes.
     pub fn journal_bytes(&self) -> u64 {
         std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
@@ -193,7 +182,7 @@ impl ResultStore {
 
     /// Rewrite the journal with exactly one record per live key (temp file
     /// + rename, so a crash mid-compaction leaves the old journal intact).
-    pub fn compact(&mut self) -> io::Result<()> {
+    fn compact(&mut self) -> io::Result<()> {
         let compact_start = std::time::Instant::now();
         let mut span = ioobserve::tracer().span("journal.compact");
         span.set_attr("live_entries", self.entries.len());
@@ -328,7 +317,7 @@ mod tests {
         }
         let store = ResultStore::open(&path).unwrap();
         assert_eq!(store.len(), 5);
-        assert_eq!(store.skipped_lines(), 0);
+        assert_eq!(store.skipped_lines, 0);
         let (k, d) = sample(3);
         assert_eq!(store.get(&k), Some(&d));
     }
@@ -341,15 +330,11 @@ mod tests {
         let (k, d) = sample(1);
         store.insert(k.clone(), d.clone()).unwrap();
         store.insert(k.clone(), d.clone()).unwrap();
-        assert_eq!(
-            store.file_records(),
-            1,
-            "identical re-insert must not append"
-        );
+        assert_eq!(store.file_records, 1, "identical re-insert must not append");
         let mut d2 = d.clone();
         d2.text.push_str("\nrevised");
         store.insert(k.clone(), d2.clone()).unwrap();
-        assert_eq!(store.file_records(), 2);
+        assert_eq!(store.file_records, 2);
         drop(store);
         let store = ResultStore::open(&path).unwrap();
         assert_eq!(store.get(&k).unwrap().text, d2.text, "last record wins");
@@ -376,8 +361,8 @@ mod tests {
         // The open healed the file: a reopen sees a clean journal.
         drop(store);
         let store = ResultStore::open(&path).unwrap();
-        assert_eq!((store.len(), store.skipped_lines()), (2, 0));
-        assert_eq!(store.file_records(), 2);
+        assert_eq!((store.len(), store.skipped_lines), (2, 0));
+        assert_eq!(store.file_records, 2);
     }
 
     #[test]
@@ -413,7 +398,7 @@ mod tests {
         // Healed: reopen sees a clean single-record journal.
         drop(store);
         let store = ResultStore::open(&path).unwrap();
-        assert_eq!((store.len(), store.skipped_lines()), (1, 0));
+        assert_eq!((store.len(), store.skipped_lines), (1, 0));
     }
 
     #[test]
@@ -462,12 +447,12 @@ mod tests {
         // 68 superseding appends, but auto-compaction keeps the file
         // bounded: it can never exceed the compaction threshold.
         assert!(
-            store.file_records() <= COMPACT_MIN_RECORDS,
+            store.file_records <= COMPACT_MIN_RECORDS,
             "auto-compaction must bound journal growth, file has {} records",
-            store.file_records()
+            store.file_records
         );
         assert!(
-            store.file_records() < COMPACT_MIN_RECORDS + 4,
+            store.file_records < COMPACT_MIN_RECORDS + 4,
             "compaction must actually have run"
         );
         assert_eq!(store.len(), 1);

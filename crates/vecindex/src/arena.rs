@@ -28,31 +28,15 @@
 
 /// Contiguous row-major vector storage with per-row cached norms and a
 /// lane-interleaved scoring copy.
-///
-/// # Cluster-major mode
-///
-/// An IVF-clustered index physically reorders its arena so each cluster is
-/// one contiguous row range ([`VectorArena::permuted`]). In that mode the
-/// interleaved scoring copy is **dropped** (`packed_stripped`), halving
-/// vector memory: probed ranges are scored by
-/// [`VectorArena::dot_block_at`], which gathers eight row-major rows into
-/// a thread-local scratch block and runs the *same* shared fold kernel,
-/// so per-row dots stay bit-identical to [`VectorArena::dot_block`]. The
-/// flat-scan paths (which need `packed`) are only reachable while no IVF
-/// is attached, when the arena is in external order with `packed` intact.
 #[derive(Debug, Clone, Default)]
 pub struct VectorArena {
     dim: usize,
     /// Row-major `n × dim`.
     data: Vec<f32>,
     /// Lane-interleaved complete blocks: block `b`, lane `d`, row-in-block
-    /// `j` lives at `((b * dim) + d) * DOT_BLOCK + j`. Empty when
-    /// `packed_stripped`.
+    /// `j` lives at `((b * dim) + d) * DOT_BLOCK + j`.
     packed: Vec<f32>,
     norms: Vec<f32>,
-    /// True for cluster-major arenas that dropped the interleaved copy
-    /// (the derived `Default` — `false` — means `packed` is maintained).
-    packed_stripped: bool,
 }
 
 impl VectorArena {
@@ -63,7 +47,6 @@ impl VectorArena {
             data: Vec::new(),
             packed: Vec::new(),
             norms: Vec::new(),
-            packed_stripped: false,
         }
     }
 
@@ -74,7 +57,6 @@ impl VectorArena {
             data: Vec::with_capacity(dim * rows),
             packed: Vec::with_capacity(dim * rows),
             norms: Vec::with_capacity(rows),
-            packed_stripped: false,
         }
     }
 
@@ -94,16 +76,8 @@ impl VectorArena {
     }
 
     /// Append a row, caching its norm. Returns the new row's index.
-    ///
-    /// Panics on a cluster-major (packed-stripped) arena: rows are only
-    /// appended in external order, so restore that order first
-    /// ([`VectorArena::permuted`] with the inverse permutation).
     pub fn push(&mut self, v: &[f32]) -> usize {
         assert_eq!(v.len(), self.dim, "arena row dimension mismatch");
-        assert!(
-            !self.packed_stripped,
-            "cannot push into a cluster-major arena; restore external order first"
-        );
         self.data.extend_from_slice(v);
         self.norms.push(ioembed::norm(v));
         let n = self.norms.len();
@@ -153,11 +127,6 @@ impl VectorArena {
     #[inline]
     pub fn dot_block(&self, qv: &[f32], start: usize, out: &mut [f32; Self::DOT_BLOCK]) {
         const B: usize = VectorArena::DOT_BLOCK;
-        assert!(
-            !self.packed_stripped,
-            "dot_block needs the interleaved copy; cluster-major arenas are scanned via \
-             dot_block_at"
-        );
         assert_eq!(qv.len(), self.dim, "query dimension mismatch");
         assert_eq!(start % B, 0, "dot_block start must be block-aligned");
         assert!(
@@ -200,99 +169,6 @@ impl VectorArena {
             out.copy_from_slice(&lanes);
         }
     }
-
-    /// Whether the lane-interleaved scoring copy is present (it is dropped
-    /// by cluster-major arenas — see [`VectorArena::permuted`]).
-    pub fn has_packed(&self) -> bool {
-        !self.packed_stripped
-    }
-
-    /// Bytes of `f32` vector state held by this arena: the row-major data,
-    /// the interleaved scoring copy (zero when stripped), and the cached
-    /// norms. The million-chunk bench gates this at ≤ 1.1× raw vectors for
-    /// a clustered index.
-    pub fn f32_bytes(&self) -> usize {
-        (self.data.len() + self.packed.len() + self.norms.len()) * std::mem::size_of::<f32>()
-    }
-
-    /// A copy of this arena with rows physically reordered so new row `p`
-    /// is old row `order[p]` (`order` must be a permutation of `0..len`).
-    ///
-    /// Cached norms move with their rows, bit-unchanged. With
-    /// `keep_packed = false` the interleaved scoring copy is **not** built
-    /// (cluster-major mode: ~half the vector memory; score through
-    /// [`VectorArena::dot_block_at`]); with `true` it is rebuilt for the
-    /// new order (used when restoring external order on
-    /// `disable_ivf`/`add_document`).
-    pub fn permuted(&self, order: &[u32], keep_packed: bool) -> VectorArena {
-        let n = self.len();
-        assert_eq!(order.len(), n, "permutation must cover every row");
-        let mut out = VectorArena {
-            dim: self.dim,
-            data: Vec::with_capacity(n * self.dim),
-            packed: Vec::new(),
-            norms: Vec::with_capacity(n),
-            packed_stripped: !keep_packed,
-        };
-        for &old in order {
-            out.data.extend_from_slice(self.row(old as usize));
-            out.norms.push(self.norms[old as usize]);
-        }
-        if keep_packed {
-            const B: usize = VectorArena::DOT_BLOCK;
-            let full = n - n % B;
-            out.packed.reserve(full * self.dim);
-            for base in (0..full).step_by(B) {
-                for d in 0..self.dim {
-                    for j in 0..B {
-                        out.packed.push(out.data[(base + j) * self.dim + d]);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Dot products of `qv` against the [`VectorArena::DOT_BLOCK`] rows
-    /// starting at **any** `start` (with all 8 rows present), written to
-    /// `out[j]` for row `start + j` — the cluster-major scan kernel.
-    ///
-    /// The eight row-major rows are gathered into a thread-local
-    /// lane-interleaved scratch block and folded by the *same*
-    /// `fold_packed_block` as [`VectorArena::dot_block`], so every lane
-    /// is bit-identical to [`ioembed::dot`]`(qv, row)` by construction; no
-    /// interleaved copy of the arena is required.
-    pub fn dot_block_at(&self, qv: &[f32], start: usize, out: &mut [f32; Self::DOT_BLOCK]) {
-        const B: usize = VectorArena::DOT_BLOCK;
-        assert_eq!(qv.len(), self.dim, "query dimension mismatch");
-        assert!(
-            start + B <= self.len(),
-            "dot_block_at needs rows {start}..{} but the arena has {}",
-            start + B,
-            self.len()
-        );
-        let dim = self.dim;
-        GATHER_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.resize(dim * B, 0.0);
-            for j in 0..B {
-                let row = self.row(start + j);
-                for d in 0..dim {
-                    scratch[d * B + j] = row[d];
-                }
-            }
-            fold_packed_block(&scratch, &qv[..dim], out);
-        });
-    }
-}
-
-thread_local! {
-    /// Reused 8×dim gather block for [`VectorArena::dot_block_at`]: one
-    /// allocation per thread, then every cluster-major scan on that thread
-    /// transposes into it allocation-free.
-    static GATHER_SCRATCH: std::cell::RefCell<Vec<f32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Fold one lane-interleaved complete block (8 rows' `d`-th lanes stored
@@ -300,16 +176,7 @@ thread_local! {
 /// `qv` with the block's `j`-th row, each lane a strict left-to-right f32
 /// fold from `-0.0` (the `Iterator::sum` identity) — a vertical 8-wide
 /// multiply-add after auto-vectorisation.
-///
-/// This is the **single** implementation of the vertical kernel, shared
-/// by [`VectorArena::dot_block`] and the IVF per-cluster scan
-/// (`ivf::IvfIndex::scan_cluster`), so the bit-identity contract between
-/// flat and probed scores cannot drift between two hand-written copies.
-pub(crate) fn fold_packed_block(
-    block: &[f32],
-    qv: &[f32],
-    out: &mut [f32; VectorArena::DOT_BLOCK],
-) {
+fn fold_packed_block(block: &[f32], qv: &[f32], out: &mut [f32; VectorArena::DOT_BLOCK]) {
     const B: usize = VectorArena::DOT_BLOCK;
     debug_assert_eq!(block.len(), qv.len() * B, "one 8-lane column per dim");
     let mut acc = [-0.0f32; B];
@@ -433,76 +300,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The gather kernel must be bit-identical to the packed kernel (and
-    /// hence to the one-row kernel) at every offset, aligned or not —
-    /// it is the same fold over the same lanes, only gathered on the fly.
-    #[test]
-    fn dot_block_at_matches_dot_block_bit_for_bit() {
-        let dim = 37;
-        let mut arena = VectorArena::new(dim);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) as f32 * if state & 1 == 0 { 1.0 } else { -1e-3 }
-        };
-        for _ in 0..VectorArena::DOT_BLOCK * 3 + 5 {
-            let row: Vec<f32> = (0..dim).map(|_| next()).collect();
-            arena.push(&row);
-        }
-        let qv: Vec<f32> = (0..dim).map(|_| next()).collect();
-        let mut out = [0.0f32; VectorArena::DOT_BLOCK];
-        for start in 0..=arena.len() - VectorArena::DOT_BLOCK {
-            arena.dot_block_at(&qv, start, &mut out);
-            for (j, lane) in out.iter().enumerate() {
-                assert_eq!(
-                    lane.to_bits(),
-                    ioembed::dot(&qv, arena.row(start + j)).to_bits(),
-                    "row {} diverged at start {start}",
-                    start + j
-                );
-            }
-        }
-    }
-
-    /// Reordering moves rows and norms bit-unchanged; the inverse
-    /// permutation restores the original arena (including a rebuilt
-    /// interleaved copy usable by `dot_block`).
-    #[test]
-    fn permuted_round_trips_through_inverse() {
-        let dim = 9;
-        let mut arena = VectorArena::new(dim);
-        for i in 0..21 {
-            let row: Vec<f32> = (0..dim)
-                .map(|d| ((i * 31 + d * 7) % 13) as f32 - 6.0)
-                .collect();
-            arena.push(&row);
-        }
-        let n = arena.len();
-        // Deterministic scramble: reversed order.
-        let order: Vec<u32> = (0..n as u32).rev().collect();
-        let scrambled = arena.permuted(&order, false);
-        assert!(!scrambled.has_packed());
-        assert!(scrambled.f32_bytes() < arena.f32_bytes());
-        let mut inv = vec![0u32; n];
-        for (new_pos, &old) in order.iter().enumerate() {
-            inv[old as usize] = new_pos as u32;
-        }
-        let restored = scrambled.permuted(&inv, true);
-        assert!(restored.has_packed());
-        for i in 0..n {
-            assert_eq!(restored.row(i), arena.row(i), "row {i}");
-            assert_eq!(restored.norm(i).to_bits(), arena.norm(i).to_bits());
-        }
-        let qv: Vec<f32> = (0..dim).map(|d| d as f32 * 0.25 - 1.0).collect();
-        let mut a = [0.0f32; VectorArena::DOT_BLOCK];
-        let mut b = [0.0f32; VectorArena::DOT_BLOCK];
-        arena.dot_block(&qv, 0, &mut a);
-        restored.dot_block(&qv, 0, &mut b);
-        assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
     }
 
     /// `packed` only holds complete blocks; trailing rows are scored by

@@ -19,58 +19,26 @@
 //! preserving), and keeps the best k in a bounded heap ([`topk::TopK`]) —
 //! O(n·d + n log k) with zero per-entry allocation. Scores and orderings
 //! are bit-identical to the original scan-score-sort path, which survives
-//! as the executable spec in [`mod@reference`].
+//! as the executable spec in [`mod@reference`]. Every search, single or
+//! batched, is this exact scan: the index has one layout and no
+//! approximate tier.
 //!
-//! # IVF probing and the query-blocked batch
+//! # The query-blocked batch
 //!
-//! Two optional layers sit on top of the flat scan:
-//!
-//! - **[`ivf`]**: a deterministic k-means coarse quantizer over the arena.
-//!   With an [`IvfIndex`] attached ([`VectorIndex::enable_ivf`]), a search
-//!   scores only the rows of the `nprobe` most query-similar clusters —
-//!   sub-linear scan cost at a measured recall trade-off. Probed rows go
-//!   through the *same* kernels, and the top-k heap keeps the same set in
-//!   any offer order, so `nprobe = clusters` is byte-identical to the flat
-//!   scan (and to [`reference::search`]).
-//! - **query-blocked [`VectorIndex::search_batch`]**: batch queries are
-//!   grouped into blocks of [`VectorArena::QUERY_BLOCK`] and the arena (or
-//!   each probed cluster list) is streamed **once per block** instead of
-//!   once per query ([`VectorArena::dot_block_batch`] /
-//!   [`ioembed::dot_multi`]), turning the DRAM-bandwidth-bound batch into
-//!   an arithmetic-bound one. Per-query results stay byte-identical to
-//!   [`VectorIndex::search`].
-//!
-//! # Cluster-major layout and the SQ8 tier
-//!
-//! With IVF attached the arena is **physically reordered cluster-major**
-//! ([`VectorArena::permuted`] by [`IvfIndex::perm`]): each cluster is one
-//! contiguous row range, scanned in place, and the flat layout's
-//! interleaved scoring copy is dropped — one vector copy total instead of
-//! the pre-v3 arena + per-cluster duplicates (≈2×). All public ids stay
-//! **external** (entry order): [`VectorIndex::vector`] translates through
-//! the permutation, scans push external ids, and the invariant is simply
-//! *arena is cluster-major ⇔ IVF is attached* (detaching restores
-//! external order and the packed copy).
-//!
-//! On top of a clustered index, [`VectorIndex::enable_sq8`] adds the
-//! [`sq8`] scan tier: probed ranges are scanned over 4×-smaller int8
-//! codes to pick a candidate pool of `rerank_pool` rows, which are then
-//! re-scored with the exact f32 kernel. Returned scores are always exact
-//! flat-scan bits; with `rerank_pool >= rows probed` the whole top-k is
-//! byte-identical to the pure-f32 probe (and with `nprobe = clusters`, to
-//! [`reference::search`]) — pinned by `tests/sq8_equivalence.rs`.
+//! [`VectorIndex::search_batch`] groups batch queries into blocks of
+//! [`VectorArena::QUERY_BLOCK`] and streams the arena **once per block**
+//! instead of once per query ([`VectorArena::dot_block_batch`] /
+//! [`ioembed::dot_multi`]), turning the DRAM-bandwidth-bound batch into an
+//! arithmetic-bound one. Per-query results stay byte-identical to
+//! [`VectorIndex::search`].
 
 pub mod arena;
 pub mod chunk;
-pub mod ivf;
 pub mod reference;
-pub mod sq8;
 pub mod topk;
 
 pub use arena::VectorArena;
 pub use chunk::{chunk_text, Chunk};
-pub use ivf::IvfIndex;
-pub use sq8::Sq8Tier;
 pub use topk::{top_k, TopK};
 
 use ioembed::Embedder;
@@ -134,19 +102,7 @@ impl Drop for ScanTimer {
     }
 }
 
-/// Default SQ8 rerank-pool size (candidate rows re-scored exactly per
-/// query) used when a pool of `0` is requested.
-pub const DEFAULT_SQ8_RERANK_POOL: usize = 128;
-
 /// An in-memory vector index over chunked documents.
-///
-/// # Layout invariant
-///
-/// While [`VectorIndex::ivf`] is `Some`, the arena is **cluster-major**
-/// (physically reordered by the quantizer's permutation, interleaved
-/// scoring copy dropped); otherwise it is in external (entry) order with
-/// the packed copy intact. Every public surface speaks external ids —
-/// [`VectorIndex::vector`] translates internally.
 #[derive(Debug, Clone)]
 pub struct VectorIndex {
     embedder: Embedder,
@@ -154,12 +110,6 @@ pub struct VectorIndex {
     overlap: usize,
     entries: Vec<IndexEntry>,
     arena: VectorArena,
-    /// Optional coarse quantizer; `None` means every search is a flat
-    /// scan. Shared via `Arc` so cloning an index never re-clusters.
-    ivf: Option<Arc<IvfIndex>>,
-    /// Optional SQ8 scan tier (requires `ivf`; codes are in internal
-    /// order). Shared via `Arc` so cloning never re-encodes.
-    sq8: Option<Arc<Sq8Tier>>,
 }
 
 impl Default for VectorIndex {
@@ -179,8 +129,6 @@ impl VectorIndex {
             overlap,
             entries: Vec::new(),
             arena: VectorArena::new(dim),
-            ivf: None,
-            sq8: None,
         }
     }
 
@@ -209,148 +157,6 @@ impl VectorIndex {
             overlap,
             entries,
             arena,
-            ivf: None,
-            sq8: None,
-        }
-    }
-
-    /// Cluster the arena and serve subsequent searches through IVF
-    /// probing at the given default `nprobe` (both clamped to the row
-    /// count). `nprobe >= clusters` keeps results byte-identical to the
-    /// flat scan; smaller values trade recall for scan cost.
-    ///
-    /// The arena is physically reordered **cluster-major** (each cluster
-    /// one contiguous range; the flat layout's interleaved copy is
-    /// dropped, so vector memory does not grow). Any previous clustering
-    /// or SQ8 tier is detached first.
-    pub fn enable_ivf(&mut self, clusters: usize, nprobe: usize) {
-        self.detach_clustering();
-        let ivf = IvfIndex::build(&self.arena, clusters, nprobe);
-        self.arena = self.arena.permuted(ivf.perm(), false);
-        self.ivf = Some(Arc::new(ivf));
-    }
-
-    /// Drop the IVF layer (and any SQ8 tier riding on it); the arena is
-    /// restored to external order with the packed copy rebuilt, and
-    /// searches go back to the exact flat scan.
-    pub fn disable_ivf(&mut self) {
-        self.detach_clustering();
-    }
-
-    /// Attach an already-built quantizer (e.g. loaded from an `iostore`
-    /// snapshot) instead of re-clustering. The arena — which must be in
-    /// external order with one row per assignment — is reordered
-    /// cluster-major, exactly as [`VectorIndex::enable_ivf`] does.
-    pub fn attach_ivf(&mut self, ivf: Arc<IvfIndex>) {
-        self.detach_clustering();
-        assert_eq!(ivf.dim(), self.arena.dim(), "IVF/arena dim mismatch");
-        assert_eq!(
-            ivf.assignments().len(),
-            self.arena.len(),
-            "IVF assignment table must cover every arena row"
-        );
-        self.arena = self.arena.permuted(ivf.perm(), false);
-        self.ivf = Some(ivf);
-    }
-
-    /// Detach quantizer + SQ8 tier and restore the arena to external
-    /// order (rebuilding the interleaved copy the flat paths need). The
-    /// single place the layout invariant flips back.
-    fn detach_clustering(&mut self) {
-        self.sq8 = None;
-        if let Some(ivf) = self.ivf.take() {
-            let n = self.arena.len();
-            let mut order = vec![0u32; n];
-            for (ext, slot) in order.iter_mut().enumerate() {
-                *slot = ivf.internal_of(ext) as u32;
-            }
-            self.arena = self.arena.permuted(&order, true);
-        }
-    }
-
-    /// The attached coarse quantizer, if any.
-    pub fn ivf(&self) -> Option<&IvfIndex> {
-        self.ivf.as_deref()
-    }
-
-    /// Change the default probe width of the attached quantizer (no-op
-    /// without one). Cheap when this index uniquely owns the quantizer;
-    /// when it is shared with clones of the index, `Arc::make_mut`
-    /// **deep-clones the whole quantizer** (centroids, assignments, and
-    /// the cluster-major permutation) first — prefer configuring `nprobe`
-    /// at build/load time over flipping it per request on shared indexes.
-    pub fn set_nprobe(&mut self, nprobe: usize) {
-        if let Some(ivf) = &mut self.ivf {
-            Arc::make_mut(ivf).set_nprobe(nprobe);
-        }
-    }
-
-    /// Quantize the clustered arena into an [`sq8`] scan tier with the
-    /// given rerank-pool size (`0` means [`DEFAULT_SQ8_RERANK_POOL`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no IVF quantizer is attached — the tier scans contiguous
-    /// cluster ranges, which only exist cluster-major.
-    pub fn enable_sq8(&mut self, rerank_pool: usize) {
-        assert!(
-            self.ivf.is_some(),
-            "enable_sq8 requires an attached IVF quantizer (enable_ivf first)"
-        );
-        let pool = if rerank_pool == 0 {
-            DEFAULT_SQ8_RERANK_POOL
-        } else {
-            rerank_pool
-        };
-        self.sq8 = Some(Arc::new(Sq8Tier::train(&self.arena, pool)));
-    }
-
-    /// Attach an SQ8 tier from a persisted codebook (e.g. an `iostore` v3
-    /// snapshot): codes are re-derived from the cluster-major arena —
-    /// they are a pure function of vectors + codebook, so only the
-    /// codebook is stored. Fails without an attached quantizer or with a
-    /// malformed codebook.
-    pub fn attach_sq8(
-        &mut self,
-        min: Vec<f32>,
-        scale: Vec<f32>,
-        rerank_pool: usize,
-    ) -> Result<(), String> {
-        if self.ivf.is_none() {
-            return Err("SQ8 tier requires an attached IVF quantizer".to_string());
-        }
-        let pool = if rerank_pool == 0 {
-            DEFAULT_SQ8_RERANK_POOL
-        } else {
-            rerank_pool
-        };
-        let tier = Sq8Tier::from_codebook(&self.arena, min, scale, pool)?;
-        self.sq8 = Some(Arc::new(tier));
-        Ok(())
-    }
-
-    /// Drop the SQ8 tier; probed searches go back to the pure-f32 scan
-    /// (the IVF layer stays attached).
-    pub fn disable_sq8(&mut self) {
-        self.sq8 = None;
-    }
-
-    /// The attached SQ8 scan tier, if any.
-    pub fn sq8(&self) -> Option<&Sq8Tier> {
-        self.sq8.as_deref()
-    }
-
-    /// Change the SQ8 rerank-pool size (no-op without a tier). A runtime
-    /// knob: codes and codebook are untouched, though a tier shared with
-    /// clones is deep-cloned first (`Arc::make_mut`).
-    pub fn set_sq8_rerank_pool(&mut self, rerank_pool: usize) {
-        if let Some(sq8) = &mut self.sq8 {
-            let pool = if rerank_pool == 0 {
-                DEFAULT_SQ8_RERANK_POOL
-            } else {
-                rerank_pool
-            };
-            Arc::make_mut(sq8).set_rerank_pool(pool);
         }
     }
 
@@ -374,38 +180,18 @@ impl VectorIndex {
         &self.entries
     }
 
-    /// The vector arena backing this index. Flat (no IVF): row `i`
-    /// belongs to entry `i`. Clustered: the arena is **cluster-major** —
-    /// row `p` belongs to entry `ivf().perm()[p]`; use
-    /// [`VectorIndex::vector`] for entry-order access.
+    /// The vector arena backing this index: row `i` belongs to entry `i`.
     pub fn arena(&self) -> &VectorArena {
         &self.arena
     }
 
-    /// Entry `idx`'s embedding vector, regardless of the arena's physical
-    /// order (translates through the cluster-major permutation when IVF
-    /// is attached).
+    /// Entry `idx`'s embedding vector.
     pub fn vector(&self, idx: usize) -> &[f32] {
-        match &self.ivf {
-            Some(ivf) => self.arena.row(ivf.internal_of(idx)),
-            None => self.arena.row(idx),
-        }
+        self.arena.row(idx)
     }
 
     /// Chunk, embed, and add a document.
-    ///
-    /// # Invalidation contract
-    ///
-    /// Adding rows invalidates **all** derived scan structures: the IVF
-    /// clustering (the new rows are unassigned) *and* the SQ8 codebook
-    /// (trained on the pre-add value distribution, coded in the pre-add
-    /// cluster-major order). Both are detached, the arena returns to
-    /// external order, and subsequent searches take the exact flat scan —
-    /// so a post-add search still matches [`reference::search`]
-    /// byte-for-byte (pinned by `tests/sq8_equivalence.rs`). Re-enable
-    /// IVF/SQ8 after bulk loading.
     pub fn add_document(&mut self, doc_id: &str, citation: &str, text: &str) {
-        self.detach_clustering();
         let doc_id: Arc<str> = Arc::from(doc_id);
         let citation: Arc<str> = Arc::from(citation);
         let first_new = self.entries.len();
@@ -481,19 +267,13 @@ impl VectorIndex {
     /// final heap. Because per-row scores do not depend on sharding and
     /// the heap order is total, the merged result is identical at any
     /// thread count (pinned by `tests/parallel_equivalence.rs`).
-    pub fn search_embedded(&self, qv: &[f32], k: usize) -> Vec<SearchHit> {
+    fn search_embedded(&self, qv: &[f32], k: usize) -> Vec<SearchHit> {
         assert_eq!(qv.len(), self.arena.dim(), "query dimension mismatch");
         let n = self.arena.len();
         if n == 0 || k == 0 {
             return Vec::new();
         }
         let qnorm = ioembed::norm(qv);
-        if let Some(ivf) = &self.ivf {
-            if let Some(sq8) = &self.sq8 {
-                return self.search_sq8(qv, qnorm, ivf, sq8, ivf.nprobe(), k);
-            }
-            return self.search_ivf(qv, qnorm, ivf, ivf.nprobe(), k);
-        }
         let scan_start = std::time::Instant::now();
         let mut span = ioobserve::tracer().span_fine("vecindex.scan");
         span.set_attr("rows", n);
@@ -569,155 +349,19 @@ impl VectorIndex {
         top
     }
 
-    /// IVF-probed search: score only the rows of the `nprobe` clusters
-    /// whose centroids rank highest for the query. The per-row kernel and
-    /// the heap's total order are exactly the flat scan's, so probing
-    /// restricts *which* rows are scored but never changes a kept score —
-    /// `nprobe = clusters` visits every list and is byte-identical to the
-    /// flat scan (pinned by `tests/ivf_equivalence.rs`).
-    fn search_ivf(
-        &self,
-        qv: &[f32],
-        qnorm: f32,
-        ivf: &IvfIndex,
-        nprobe: usize,
-        k: usize,
-    ) -> Vec<SearchHit> {
-        let scan_start = std::time::Instant::now();
-        let mut span = ioobserve::tracer().span_fine("vecindex.scan");
-        let probed = ivf.probe(qv, qnorm, nprobe);
-        let rows: usize = probed.iter().map(|&c| ivf.list(c as usize).len()).sum();
-        span.set_attr("rows", rows);
-        span.set_attr("ivf_probes", probed.len());
-        let m = ioobserve::metrics();
-        m.counter("vecindex.queries").inc();
-        m.counter("vecindex.rows_scanned").add(rows as u64);
-        m.counter("vecindex.ivf_probes").add(probed.len() as u64);
-        let _scan_guard = ScanTimer {
-            start: scan_start,
-            _span: span,
-        };
-        let mut top = TopK::new(k);
-        for c in probed {
-            ivf.scan_cluster(&self.arena, qv, qnorm, c as usize, &mut top);
-        }
-        top.into_sorted_hits()
-    }
-
-    /// SQ8-tiered probed search: the probed cluster ranges are scanned
-    /// over int8 codes (4× less bandwidth, multi-chain fold) to select
-    /// the best `rerank_pool` candidates by approximate cosine, which are
-    /// then re-scored with the **exact** f32 kernel and offered — as
-    /// external ids — to the final k-heap.
-    ///
-    /// Every returned score is an exact flat-scan bit pattern (the
-    /// approximation only picks candidates), and with
-    /// `rerank_pool >= rows probed` the pool holds every probed row, so
-    /// the result is byte-identical to [`VectorIndex::search_ivf`] at the
-    /// same probe set (pinned by `tests/sq8_equivalence.rs`).
-    fn search_sq8(
-        &self,
-        qv: &[f32],
-        qnorm: f32,
-        ivf: &IvfIndex,
-        sq8: &Sq8Tier,
-        nprobe: usize,
-        k: usize,
-    ) -> Vec<SearchHit> {
-        let scan_start = std::time::Instant::now();
-        let mut span = ioobserve::tracer().span_fine("vecindex.scan");
-        let probed = ivf.probe(qv, qnorm, nprobe);
-        let rows: usize = probed
-            .iter()
-            .map(|&c| ivf.cluster_range(c as usize).len())
-            .sum();
-        span.set_attr("rows", rows);
-        span.set_attr("ivf_probes", probed.len());
-        let m = ioobserve::metrics();
-        m.counter("vecindex.queries").inc();
-        m.counter("vecindex.rows_scanned").add(rows as u64);
-        m.counter("vecindex.ivf_probes").add(probed.len() as u64);
-        m.counter("vecindex.sq8_scans").inc();
-        let _scan_guard = ScanTimer {
-            start: scan_start,
-            _span: span,
-        };
-        let prep = sq8.prepare(qv);
-        let mut pool = TopK::new(sq8.rerank_pool().max(k));
-        for &c in &probed {
-            sq8.scan_range(
-                &prep,
-                qnorm,
-                &self.arena,
-                ivf.cluster_range(c as usize),
-                &mut pool,
-            );
-        }
-        let mut top = TopK::new(k);
-        for cand in pool.into_sorted_hits() {
-            let p = cand.entry_idx; // internal (cluster-major) position
-            let exact = ioembed::cosine_with_norms(
-                ioembed::dot(qv, self.arena.row(p)),
-                qnorm,
-                self.arena.norm(p),
-            );
-            top.push(exact, ivf.external_of(p));
-        }
-        top.into_sorted_hits()
-    }
-
     /// Run many queries, each returning its own top-k, byte-identical to
     /// per-query [`VectorIndex::search`] calls.
     ///
     /// Queries are embedded once up front, grouped into blocks of
-    /// [`VectorArena::QUERY_BLOCK`], and each block streams the arena (or
-    /// each probed cluster list) **once** for all of its queries — the
-    /// query-blocked kernel that reuses every loaded row across the whole
-    /// block instead of re-streaming n×dim floats per query. Blocks run
-    /// in parallel on the rayon pool; blocks are independent, so results
-    /// are identical at any thread width.
+    /// [`VectorArena::QUERY_BLOCK`], and each block streams the arena
+    /// **once** for all of its queries — the query-blocked kernel that
+    /// reuses every loaded row across the whole block instead of
+    /// re-streaming n×dim floats per query. Blocks run in parallel on the
+    /// rayon pool; blocks are independent, so results are identical at any
+    /// thread width.
     pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<SearchHit>> {
         let embedded: Vec<Vec<f32>> = queries.par_iter().map(|q| self.embedder.embed(q)).collect();
-        self.search_batch_embedded(&embedded, k)
-    }
-
-    /// [`VectorIndex::search_batch`] over already-embedded queries.
-    ///
-    /// With IVF attached, every query is probed **once** (the same probe
-    /// the single-query path would run), and the probe lists drive both
-    /// the cluster-affine grouping — queries sharing a block mostly
-    /// subscribe to the same cluster lists, so each list is streamed once
-    /// for many of them — and the scans themselves. Grouping only changes
-    /// which queries share a pass, never a score, and results are
-    /// scattered back to input order.
-    pub fn search_batch_embedded(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<SearchHit>> {
-        for qv in queries {
-            assert_eq!(qv.len(), self.arena.dim(), "query dimension mismatch");
-        }
-        if let Some(ivf) = &self.ivf {
-            if let Some(sq8) = &self.sq8 {
-                // SQ8 batches run the single-query tier per query (in
-                // parallel blocks): the code scan already streams 4× less
-                // than f32, so cluster-affine sharing buys little, and
-                // reusing the one path keeps batch == single trivially.
-                let blocks: Vec<&[Vec<f32>]> = queries.chunks(VectorArena::QUERY_BLOCK).collect();
-                let per_block: Vec<Vec<Vec<SearchHit>>> = blocks
-                    .par_iter()
-                    .map(|block| {
-                        block
-                            .iter()
-                            .map(|qv| {
-                                let qnorm = ioembed::norm(qv);
-                                self.search_sq8(qv, qnorm, ivf, sq8, ivf.nprobe(), k)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                return per_block.into_iter().flatten().collect();
-            }
-            return self.search_batch_ivf(queries, ivf, k);
-        }
-        let blocks: Vec<&[Vec<f32>]> = queries.chunks(VectorArena::QUERY_BLOCK).collect();
+        let blocks: Vec<&[Vec<f32>]> = embedded.chunks(VectorArena::QUERY_BLOCK).collect();
         let per_block: Vec<Vec<Vec<SearchHit>>> = blocks
             .par_iter()
             .map(|block| {
@@ -726,38 +370,6 @@ impl VectorIndex {
             })
             .collect();
         per_block.into_iter().flatten().collect()
-    }
-
-    /// IVF batch path: probe each query once at the quantizer's default
-    /// width, order queries by their best cluster, then scan blocks with
-    /// the precomputed probe lists.
-    fn search_batch_ivf(
-        &self,
-        queries: &[Vec<f32>],
-        ivf: &IvfIndex,
-        k: usize,
-    ) -> Vec<Vec<SearchHit>> {
-        let probes: Vec<(Vec<u32>, f32)> = queries
-            .iter()
-            .map(|qv| {
-                let qnorm = ioembed::norm(qv);
-                (ivf.probe(qv, qnorm, ivf.nprobe()), qnorm)
-            })
-            .collect();
-        // Cluster-affine order: a probe list is never empty (at least one
-        // cluster always exists), and ties fall back to input order.
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_unstable_by_key(|&i| (probes[i].0[0], i));
-        let blocks: Vec<&[usize]> = order.chunks(VectorArena::QUERY_BLOCK).collect();
-        let per_block: Vec<Vec<Vec<SearchHit>>> = blocks
-            .par_iter()
-            .map(|idxs| self.search_block_ivf(queries, &probes, idxs, ivf, k))
-            .collect();
-        let mut out: Vec<Vec<SearchHit>> = vec![Vec::new(); queries.len()];
-        for (&slot, hits) in order.iter().zip(per_block.into_iter().flatten()) {
-            out[slot] = hits;
-        }
-        out
     }
 
     /// Top-k for one block of ≤ [`VectorArena::QUERY_BLOCK`] queries,
@@ -792,43 +404,6 @@ impl VectorIndex {
                 top.push(
                     ioembed::cosine_with_norms(dot, qnorm, self.arena.norm(i)),
                     i,
-                );
-            }
-        }
-        tops.into_iter().map(TopK::into_sorted_hits).collect()
-    }
-
-    /// IVF-probed block search over one block of query indices (into
-    /// `queries`/`probes`): each query scans exactly the clusters its
-    /// precomputed probe list names — the same set
-    /// [`VectorIndex::search_ivf`] would — but clusters subscribed by
-    /// several queries of the block are scanned back to back while their
-    /// packed blocks are cache-hot.
-    fn search_block_ivf(
-        &self,
-        queries: &[Vec<f32>],
-        probes: &[(Vec<u32>, f32)],
-        idxs: &[usize],
-        ivf: &IvfIndex,
-        k: usize,
-    ) -> Vec<Vec<SearchHit>> {
-        let mut tops: Vec<TopK> = idxs.iter().map(|_| TopK::new(k)).collect();
-        // Cluster → block slots that probe it.
-        let mut subscribers: Vec<Vec<u32>> = vec![Vec::new(); ivf.clusters()];
-        for (slot, &q) in idxs.iter().enumerate() {
-            for &c in &probes[q].0 {
-                subscribers[c as usize].push(slot as u32);
-            }
-        }
-        for (c, subs) in subscribers.iter().enumerate() {
-            for &slot in subs {
-                let q = idxs[slot as usize];
-                ivf.scan_cluster(
-                    &self.arena,
-                    &queries[q],
-                    probes[q].1,
-                    c,
-                    &mut tops[slot as usize],
                 );
             }
         }
@@ -977,225 +552,6 @@ mod tests {
                 assert_eq!(engine, reference, "k={k} q={q:?}");
             }
         }
-    }
-
-    /// Exact-mode IVF (`nprobe = clusters`) must be byte-identical to the
-    /// flat scan and hence to the reference, in miniature (the full pin
-    /// lives in tests/ivf_equivalence.rs).
-    #[test]
-    fn ivf_exact_mode_matches_reference_bit_for_bit() {
-        let mut ix = small_index();
-        ix.enable_ivf(3, 3);
-        assert_eq!(ix.ivf().unwrap().clusters(), 3);
-        for k in [1, 2, 5, 100] {
-            for q in [
-                "stripe count of 1 limits parallelism",
-                "metadata stat storm",
-                "",
-            ] {
-                let engine: Vec<(u32, usize)> = ix
-                    .search(q, k)
-                    .iter()
-                    .map(|h| (h.score.to_bits(), h.entry_idx))
-                    .collect();
-                let spec: Vec<(u32, usize)> = reference::search(&ix, q, k)
-                    .iter()
-                    .map(|h| (h.score.to_bits(), h.entry_idx))
-                    .collect();
-                assert_eq!(engine, spec, "k={k} q={q:?}");
-            }
-        }
-    }
-
-    /// Probed hits keep exact flat-scan scores: every IVF hit at any
-    /// nprobe appears in the flat ranking with the same score bits.
-    #[test]
-    fn ivf_probed_scores_are_exact_flat_scores() {
-        let mut ix = small_index();
-        let q = "collective aggregation of small writes";
-        let flat: Vec<(u32, usize)> = ix
-            .search(q, ix.len())
-            .iter()
-            .map(|h| (h.score.to_bits(), h.entry_idx))
-            .collect();
-        ix.enable_ivf(3, 1);
-        for hit in ix.search(q, 5) {
-            assert!(
-                flat.contains(&(hit.score.to_bits(), hit.entry_idx)),
-                "probed hit {} not an exact flat hit",
-                hit.entry_idx
-            );
-        }
-    }
-
-    /// The batch path must stay byte-identical to per-query search with
-    /// IVF attached, including when block queries probe different (and
-    /// overlapping) cluster sets.
-    #[test]
-    fn ivf_batch_matches_individual_searches() {
-        let mut ix = small_index();
-        ix.enable_ivf(3, 2);
-        let queries: Vec<String> = [
-            "collective aggregation of small writes",
-            "stat storm",
-            "stripe count of one",
-            "",
-        ]
-        .iter()
-        .map(|q| q.to_string())
-        .collect();
-        let batch = ix.search_batch(&queries, 3);
-        for (q, hits) in queries.iter().zip(&batch) {
-            let single: Vec<(u32, usize)> = ix
-                .search(q, 3)
-                .iter()
-                .map(|h| (h.score.to_bits(), h.entry_idx))
-                .collect();
-            let batched: Vec<(u32, usize)> = hits
-                .iter()
-                .map(|h| (h.score.to_bits(), h.entry_idx))
-                .collect();
-            assert_eq!(batched, single, "q={q:?}");
-        }
-    }
-
-    /// Adding a document invalidates the clustering (its rows would be
-    /// unassigned) *and* the SQ8 tier (its codebook and cluster-major
-    /// codes describe the pre-add index), falling back to the exact flat
-    /// scan.
-    #[test]
-    fn add_document_invalidates_ivf_and_sq8() {
-        let mut ix = small_index();
-        ix.enable_ivf(2, 1);
-        ix.enable_sq8(16);
-        assert!(ix.ivf().is_some() && ix.sq8().is_some());
-        ix.add_document("late", "[Late, V 2026]", "a late arriving document");
-        assert!(ix.ivf().is_none(), "stale clustering must not survive");
-        assert!(ix.sq8().is_none(), "stale SQ8 codebook must not survive");
-        // The post-add flat scan still matches the executable spec.
-        let q = "a late arriving document";
-        let engine: Vec<(u32, usize)> = ix
-            .search(q, 5)
-            .iter()
-            .map(|h| (h.score.to_bits(), h.entry_idx))
-            .collect();
-        let spec: Vec<(u32, usize)> = reference::search(&ix, q, 5)
-            .iter()
-            .map(|h| (h.score.to_bits(), h.entry_idx))
-            .collect();
-        assert_eq!(engine, spec);
-    }
-
-    /// `vector(idx)` must keep returning entry `idx`'s embedding across
-    /// cluster-major reordering, detach, and re-cluster.
-    #[test]
-    fn vector_is_stable_across_layout_changes() {
-        let mut ix = small_index();
-        let before: Vec<Vec<f32>> = (0..ix.len()).map(|i| ix.vector(i).to_vec()).collect();
-        ix.enable_ivf(2, 2);
-        for (i, v) in before.iter().enumerate() {
-            assert_eq!(ix.vector(i), v.as_slice(), "entry {i} after enable_ivf");
-        }
-        ix.disable_ivf();
-        for (i, v) in before.iter().enumerate() {
-            assert_eq!(ix.vector(i), v.as_slice(), "entry {i} after disable_ivf");
-        }
-        assert!(
-            ix.arena().has_packed(),
-            "flat layout restores the packed copy"
-        );
-    }
-
-    /// SQ8 with a pool covering every probed row must be byte-identical
-    /// to the pure-f32 probe path, and at `nprobe = clusters` to the
-    /// reference (the full-corpus pin lives in tests/sq8_equivalence.rs).
-    #[test]
-    fn sq8_full_pool_matches_reference_bit_for_bit() {
-        let mut ix = small_index();
-        ix.enable_ivf(3, 3);
-        ix.enable_sq8(ix.len()); // pool >= every probed row
-        for k in [1, 2, 5, 100] {
-            for q in [
-                "stripe count of 1 limits parallelism",
-                "metadata stat storm",
-                "",
-            ] {
-                let engine: Vec<(u32, usize)> = ix
-                    .search(q, k)
-                    .iter()
-                    .map(|h| (h.score.to_bits(), h.entry_idx))
-                    .collect();
-                let spec: Vec<(u32, usize)> = reference::search(&ix, q, k)
-                    .iter()
-                    .map(|h| (h.score.to_bits(), h.entry_idx))
-                    .collect();
-                assert_eq!(engine, spec, "k={k} q={q:?}");
-            }
-        }
-    }
-
-    /// Even with a tiny pool, every returned SQ8 score is an exact
-    /// flat-scan bit pattern (the approximation only picks candidates).
-    #[test]
-    fn sq8_hits_always_carry_exact_scores() {
-        let mut ix = small_index();
-        let q = "collective aggregation of small writes";
-        let flat: Vec<(u32, usize)> = ix
-            .search(q, ix.len())
-            .iter()
-            .map(|h| (h.score.to_bits(), h.entry_idx))
-            .collect();
-        ix.enable_ivf(3, 2);
-        ix.enable_sq8(2); // deliberately small pool
-        for hit in ix.search(q, 5) {
-            assert!(
-                flat.contains(&(hit.score.to_bits(), hit.entry_idx)),
-                "sq8 hit {} is not an exact flat hit",
-                hit.entry_idx
-            );
-        }
-    }
-
-    /// The batch path must stay byte-identical to per-query search with
-    /// the SQ8 tier attached.
-    #[test]
-    fn sq8_batch_matches_individual_searches() {
-        let mut ix = small_index();
-        ix.enable_ivf(3, 2);
-        ix.enable_sq8(4);
-        let queries: Vec<String> = [
-            "collective aggregation of small writes",
-            "stat storm",
-            "stripe count of one",
-            "",
-        ]
-        .iter()
-        .map(|q| q.to_string())
-        .collect();
-        let batch = ix.search_batch(&queries, 3);
-        for (q, hits) in queries.iter().zip(&batch) {
-            let single: Vec<(u32, usize)> = ix
-                .search(q, 3)
-                .iter()
-                .map(|h| (h.score.to_bits(), h.entry_idx))
-                .collect();
-            let batched: Vec<(u32, usize)> = hits
-                .iter()
-                .map(|h| (h.score.to_bits(), h.entry_idx))
-                .collect();
-            assert_eq!(batched, single, "q={q:?}");
-        }
-    }
-
-    /// set_nprobe clamps and round-trips through the attached quantizer.
-    #[test]
-    fn nprobe_is_adjustable_and_clamped() {
-        let mut ix = small_index();
-        ix.enable_ivf(3, 1);
-        ix.set_nprobe(999);
-        assert_eq!(ix.ivf().unwrap().nprobe(), 3);
-        ix.set_nprobe(0);
-        assert_eq!(ix.ivf().unwrap().nprobe(), 1);
     }
 
     /// Force the sharded path (n ≥ MIN_ROWS_PER_SHARD rows) and check it

@@ -16,14 +16,9 @@ use crate::{SearchHit, VectorIndex};
 /// Scan-score-sort search over `index` (the old hot path, sequential).
 pub fn search(index: &VectorIndex, query: &str, k: usize) -> Vec<SearchHit> {
     let qv = index.embedder().embed(query);
-    search_embedded(index, &qv, k)
-}
-
-/// [`search`] with an already-embedded query.
-pub fn search_embedded(index: &VectorIndex, qv: &[f32], k: usize) -> Vec<SearchHit> {
     let mut scored: Vec<SearchHit> = (0..index.len())
         .map(|i| SearchHit {
-            score: ioembed::cosine(qv, index.vector(i)),
+            score: ioembed::cosine(&qv, index.vector(i)),
             entry_idx: i,
         })
         .collect();

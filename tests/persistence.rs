@@ -5,9 +5,11 @@
 //! - a snapshot-loaded `VectorIndex` produces **byte-identical** diagnoses
 //!   to a freshly built one;
 //! - a corpus or embedder-config change invalidates the snapshot and
-//!   triggers a rebuild instead of silently serving stale retrievals.
+//!   triggers a rebuild instead of silently serving stale retrievals;
+//! - a snapshot in a retired format version (the v2/v3 clustered
+//!   formats) is rebuilt once into v1, never served.
 
-use ioagent_core::{AgentConfig, IndexProvenance, IoAgent, IvfParams, Retriever, Sq8Params};
+use ioagent_core::{AgentConfig, IndexProvenance, IoAgent, Retriever};
 use ioagentd::{DiagnosisService, JobRequest, ServiceConfig};
 use simllm::SimLlm;
 use std::path::PathBuf;
@@ -282,52 +284,6 @@ fn pre_existing_snapshot_loads_into_the_arena_without_rebuild() {
         assert_eq!(a, b, "entry {i} vector changed across the format boundary");
     }
 
-    // …including when the loading deployment asks for IVF: the v1
-    // snapshot (which predates clustering records) is served, lazily
-    // clustered — no rebuild, no re-embedding — and re-saved as v2 so
-    // the next start skips the clustering too (ISSUE 5).
-    let ivf_params = IvfParams {
-        clusters: 8,
-        nprobe: 8,
-    };
-    let (probed, provenance) = Retriever::build_or_load_with(&state, Some(ivf_params));
-    assert_eq!(
-        provenance,
-        IndexProvenance::Snapshot,
-        "v1 snapshot + IVF config must lazily cluster, not rebuild"
-    );
-    let clustered = probed
-        .index()
-        .ivf()
-        .expect("lazy clustering must attach IVF");
-    assert_eq!(clustered.clusters(), 8);
-    let (resumed, provenance) = Retriever::build_or_load_with(&state, Some(ivf_params));
-    assert_eq!(provenance, IndexProvenance::Snapshot);
-    assert_eq!(
-        resumed
-            .index()
-            .ivf()
-            .expect("v2 re-save carries the clustering")
-            .assignments(),
-        clustered.assignments(),
-        "second start must reuse the persisted clustering byte-identically"
-    );
-    // Exact-mode probing (nprobe = clusters) over the lazily-clustered
-    // index retrieves byte-identically to the flat index.
-    let q = "small writes on a single stripe";
-    let flat_hits: Vec<(u32, usize)> = ix
-        .search(q, 15)
-        .iter()
-        .map(|h| (h.score.to_bits(), h.entry_idx))
-        .collect();
-    let probed_hits: Vec<(u32, usize)> = probed
-        .index()
-        .search(q, 15)
-        .iter()
-        .map(|h| (h.score.to_bits(), h.entry_idx))
-        .collect();
-    assert_eq!(flat_hits, probed_hits);
-
     // …and diagnoses byte-identically to the fresh build.
     let fresh = Arc::new(built);
     let loaded = Arc::new(loaded);
@@ -347,151 +303,100 @@ fn pre_existing_snapshot_loads_into_the_arena_without_rebuild() {
     }
 }
 
-/// ISSUE 10: a snapshot written by the **v2** (clustered, pre-SQ8) writer
-/// must load into the v3 engine — no rebuild, no re-clustering — and
-/// diagnose byte-identically. When the loading deployment also asks for
-/// SQ8, the codebook is lazily trained from the snapshot's vectors and
-/// the file is upgraded to v3 so the next start loads it directly.
+/// Snapshots in the retired clustered formats (v2 added a trailing
+/// clustering record, v3 a permutation and a codebook record) fail the
+/// version check, so the first start rebuilds the index and re-saves it
+/// as v1; the second start serves that v1 file. Either way, diagnoses are
+/// byte-identical to [`Retriever::build`].
 ///
-/// Like the v1 test above, the fixture is written by hand in the literal
-/// line shapes the v2 writer emitted (header, external-order entry lines,
-/// one trailing IVF record) rather than through today's `save_index`.
+/// The fixtures are written by hand: a literal v2/v3 header, the corpus
+/// entry lines (which those formats shared with v1, taken from today's
+/// writer), and trailing records with fixed hex. The loader rejects the
+/// header before it reads any later line, so the trailing records carry
+/// only the fields that identify their kind.
 #[test]
-fn v2_snapshot_loads_into_the_v3_engine_and_upgrades_lazily() {
-    use std::fmt::Write as _;
-
-    let tmp = TempDir::new("v2-snapshot");
-    let state = iostore::StateDir::new(&tmp.0).unwrap();
+fn retired_v2_and_v3_snapshots_are_rebuilt_once_into_v1() {
     let suite = TraceBench::generate();
+    let fresh = Arc::new(Retriever::build());
+    let fresh_ix = fresh.index();
 
-    // What the v2 binary would have serialised: the corpus index clustered
-    // at the deployment's pinned configuration. Entry vectors are written
-    // in *external* row order — the cluster-major permutation is a v3
-    // detail the v2 writer knew nothing about.
-    let flat = Retriever::build();
-    let flat_ix = flat.index();
-    let ivf_params = IvfParams {
-        clusters: 8,
-        nprobe: 8,
+    // Entry lines exactly as v1 (and v2/v3) wrote them.
+    let scratch = TempDir::new("retired-entries");
+    let v1_path = scratch.0.join("v1.snap");
+    iostore::save_index(&v1_path, fresh_ix, knowledge::corpus_hash()).unwrap();
+    let v1 = std::fs::read_to_string(&v1_path).unwrap();
+    let entry_lines = v1.split_once('\n').expect("header line").1;
+
+    let header = |version: u32| {
+        format!(
+            "{{\"chunk_size\":{},\"corpus_hash\":\"0x{:016x}\",\"embedder_dim\":{},\
+             \"entries\":{},\"format_version\":{version},\"magic\":\"ioagent-index\",\
+             \"overlap\":{}}}\n",
+            fresh_ix.chunk_size(),
+            knowledge::corpus_hash(),
+            fresh_ix.embedder().dim,
+            fresh_ix.len(),
+            fresh_ix.overlap(),
+        )
     };
-    let mut clustered_ix = flat_ix.clone();
-    clustered_ix.enable_ivf(ivf_params.clusters, ivf_params.nprobe);
-    let ivf = clustered_ix.ivf().unwrap();
-    let hex_u32s = |values: &[u32]| {
-        let mut hex = String::with_capacity(values.len() * 8);
-        for v in values {
-            let _ = write!(hex, "{v:08x}");
-        }
-        hex
-    };
-    let hex_f32s = |values: &[f32]| {
-        let mut hex = String::with_capacity(values.len() * 8);
-        for v in values {
-            let _ = write!(hex, "{:08x}", v.to_bits());
-        }
-        hex
-    };
-    let mut raw = format!(
-        "{{\"chunk_size\":{},\"corpus_hash\":\"0x{:016x}\",\"embedder_dim\":{},\
-         \"entries\":{},\"format_version\":2,\"magic\":\"ioagent-index\",\"overlap\":{}}}\n",
-        flat_ix.chunk_size(),
-        knowledge::corpus_hash(),
-        flat_ix.embedder().dim,
-        flat_ix.len(),
-        flat_ix.overlap(),
-    );
-    for (i, entry) in flat_ix.entries().iter().enumerate() {
-        let _ = writeln!(
-            raw,
-            "{{\"chunk_no\":{},\"citation\":\"{}\",\"doc_id\":\"{}\",\"text\":\"{}\",\"vector\":\"{}\"}}",
-            entry.chunk_no,
-            entry.citation,
-            entry.doc_id,
-            entry.text,
-            hex_f32s(flat_ix.vector(i)),
+    let clustering = "{\"ivf_assignments\":\"00000000\",\"ivf_centroids\":\"3f800000\",\
+                      \"ivf_clusters\":1}\n";
+    let permutation = "{\"perm\":\"00000000\"}\n";
+    let fixtures = [
+        (2, format!("{}{entry_lines}{clustering}", header(2))),
+        (
+            3,
+            format!("{}{entry_lines}{clustering}{permutation}", header(3)),
+        ),
+    ];
+
+    for (version, raw) in fixtures {
+        let tmp = TempDir::new(&format!("retired-v{version}"));
+        let state = iostore::StateDir::new(&tmp.0).unwrap();
+        std::fs::write(state.index_path(), raw).unwrap();
+
+        let (rebuilt, provenance) = Retriever::build_or_load(&state);
+        let IndexProvenance::Rebuilt(reason) = provenance else {
+            panic!("a v{version} snapshot must be rebuilt, got {provenance:?}");
+        };
+        assert!(
+            reason.contains(&format!("format version {version}")),
+            "v{version}: reason must name the version mismatch: {reason}"
         );
-    }
-    let _ = writeln!(
-        raw,
-        "{{\"ivf_assignments\":\"{}\",\"ivf_centroids\":\"{}\",\"ivf_clusters\":{},\"ivf_nprobe\":{}}}",
-        hex_u32s(ivf.assignments()),
-        hex_f32s(ivf.centroids()),
-        ivf.clusters(),
-        ivf.nprobe(),
-    );
-    std::fs::write(state.index_path(), raw).unwrap();
-
-    // A v3 deployment asking for IVF + SQ8 serves the v2 snapshot: the
-    // clustering is reused byte-identically, only the codebook is trained.
-    let sq8_params = Sq8Params { rerank_pool: 32 };
-    let (loaded, provenance) =
-        Retriever::build_or_load_tuned(&state, Some(ivf_params), Some(sq8_params));
-    assert_eq!(
-        provenance,
-        IndexProvenance::Snapshot,
-        "v2 snapshot + SQ8 config must lazily train, not rebuild"
-    );
-    let loaded_ix = loaded.index();
-    assert_eq!(
-        loaded_ix.ivf().unwrap().assignments(),
-        ivf.assignments(),
-        "lazy upgrade must not re-cluster"
-    );
-    let codebook = loaded_ix.sq8().expect("lazy upgrade must train SQ8");
-    assert_eq!(codebook.rerank_pool(), 32);
-
-    // The lazy upgrade re-saved the snapshot as v3; the next start loads
-    // the codebook bit-for-bit instead of retraining.
-    let min_bits: Vec<u32> = codebook.min().iter().map(|f| f.to_bits()).collect();
-    let scale_bits: Vec<u32> = codebook.scale().iter().map(|f| f.to_bits()).collect();
-    let (resumed, provenance) =
-        Retriever::build_or_load_tuned(&state, Some(ivf_params), Some(sq8_params));
-    assert_eq!(provenance, IndexProvenance::Snapshot);
-    let resumed_codebook = resumed
-        .index()
-        .sq8()
-        .expect("v3 re-save carries the codebook");
-    let resumed_min: Vec<u32> = resumed_codebook.min().iter().map(|f| f.to_bits()).collect();
-    let resumed_scale: Vec<u32> = resumed_codebook
-        .scale()
-        .iter()
-        .map(|f| f.to_bits())
-        .collect();
-    assert_eq!((resumed_min, resumed_scale), (min_bits, scale_bits));
-
-    // At nprobe = clusters and a pool spanning the corpus, SQ8 retrieval
-    // over the migrated snapshot is byte-identical to the flat scan…
-    let mut exact = resumed.index().clone();
-    exact.set_sq8_rerank_pool(exact.len());
-    let q = "small writes on a single stripe";
-    let flat_hits: Vec<(u32, usize)> = flat_ix
-        .search(q, 15)
-        .iter()
-        .map(|h| (h.score.to_bits(), h.entry_idx))
-        .collect();
-    let exact_hits: Vec<(u32, usize)> = exact
-        .search(q, 15)
-        .iter()
-        .map(|h| (h.score.to_bits(), h.entry_idx))
-        .collect();
-    assert_eq!(flat_hits, exact_hits);
-
-    // …and the migrated index diagnoses byte-identically to a fresh
-    // build at the same tuning.
-    let fresh = Arc::new(Retriever::build_tuned(Some(ivf_params), Some(sq8_params)));
-    let migrated = Arc::new(resumed);
-    for entry in suite.entries.iter().take(2) {
-        let model_a = SimLlm::new("gpt-4o");
-        let agent_a =
-            IoAgent::with_shared_retriever(&model_a, AgentConfig::default(), Arc::clone(&fresh));
-        let model_b = SimLlm::new("gpt-4o");
-        let agent_b =
-            IoAgent::with_shared_retriever(&model_b, AgentConfig::default(), Arc::clone(&migrated));
+        let resaved = std::fs::read_to_string(state.index_path()).unwrap();
         assert_eq!(
-            agent_a.diagnose(&entry.trace),
-            agent_b.diagnose(&entry.trace),
-            "trace {}: v2 snapshot changed a diagnosis",
-            entry.spec.id
+            resaved, v1,
+            "v{version}: the rebuild must re-save the file as v1"
         );
+
+        let (loaded, provenance) = Retriever::build_or_load(&state);
+        assert_eq!(
+            provenance,
+            IndexProvenance::Snapshot,
+            "v{version}: the second start must serve the re-saved v1 file"
+        );
+
+        for retriever in [Arc::new(rebuilt), Arc::new(loaded)] {
+            for entry in suite.entries.iter().take(2) {
+                let model_a = SimLlm::new("gpt-4o");
+                let agent_a = IoAgent::with_shared_retriever(
+                    &model_a,
+                    AgentConfig::default(),
+                    Arc::clone(&fresh),
+                );
+                let model_b = SimLlm::new("gpt-4o");
+                let agent_b = IoAgent::with_shared_retriever(
+                    &model_b,
+                    AgentConfig::default(),
+                    Arc::clone(&retriever),
+                );
+                assert_eq!(
+                    agent_a.diagnose(&entry.trace),
+                    agent_b.diagnose(&entry.trace),
+                    "v{version}, trace {}: a diagnosis changed",
+                    entry.spec.id
+                );
+            }
+        }
     }
 }
