@@ -98,18 +98,18 @@ pub struct ModuleAgg {
 impl ModuleAgg {
     /// reads + writes.
     pub fn total_ops(&self) -> i64 {
-        self.reads + self.writes
+        self.reads.saturating_add(self.writes)
     }
 
     /// Fraction of read operations strictly below 1 MB (histogram bins
     /// `0_100 .. 100K_1M`). Returns 0 when there are no reads.
     pub fn small_read_fraction(&self) -> f64 {
-        fraction(self.read_hist[..5].iter().sum::<i64>(), self.reads)
+        fraction(saturating_sum(&self.read_hist[..5]), self.reads)
     }
 
     /// Fraction of write operations strictly below 1 MB.
     pub fn small_write_fraction(&self) -> f64 {
-        fraction(self.write_hist[..5].iter().sum::<i64>(), self.writes)
+        fraction(saturating_sum(&self.write_hist[..5]), self.writes)
     }
 
     /// Fraction of all operations not aligned with the file system.
@@ -162,12 +162,18 @@ impl ModuleAgg {
 
     /// Fraction of MPI-IO reads that were collective.
     pub fn collective_read_fraction(&self) -> f64 {
-        fraction(self.coll_reads, self.coll_reads + self.indep_reads)
+        fraction(
+            self.coll_reads,
+            self.coll_reads.saturating_add(self.indep_reads),
+        )
     }
 
     /// Fraction of MPI-IO writes that were collective.
     pub fn collective_write_fraction(&self) -> f64 {
-        fraction(self.coll_writes, self.coll_writes + self.indep_writes)
+        fraction(
+            self.coll_writes,
+            self.coll_writes.saturating_add(self.indep_writes),
+        )
     }
 
     /// Human-readable histogram rendering used by prompt builders, e.g.
@@ -189,6 +195,12 @@ impl ModuleAgg {
         }
         out
     }
+}
+
+fn saturating_sum(counters: &[i64]) -> i64 {
+    let mut sum = 0;
+    add(&mut sum, counters);
+    sum
 }
 
 fn fraction(num: i64, den: i64) -> f64 {
@@ -214,41 +226,63 @@ pub fn aggregate(trace: &DarshanTrace, module: Module) -> Option<ModuleAgg> {
     for r in &records {
         match module {
             Module::Posix => {
-                agg.opens += r.ic("POSIX_OPENS");
-                agg.reads += r.ic("POSIX_READS");
-                agg.writes += r.ic("POSIX_WRITES");
-                agg.seeks += r.ic("POSIX_SEEKS");
-                agg.stats += r.ic("POSIX_STATS");
-                agg.syncs += r.ic("POSIX_FSYNCS") + r.ic("POSIX_FDSYNCS");
+                add(&mut agg.opens, &[r.ic("POSIX_OPENS")]);
+                add(&mut agg.reads, &[r.ic("POSIX_READS")]);
+                add(&mut agg.writes, &[r.ic("POSIX_WRITES")]);
+                add(&mut agg.seeks, &[r.ic("POSIX_SEEKS")]);
+                add(&mut agg.stats, &[r.ic("POSIX_STATS")]);
+                add(
+                    &mut agg.syncs,
+                    &[r.ic("POSIX_FSYNCS"), r.ic("POSIX_FDSYNCS")],
+                );
             }
             Module::Mpiio => {
-                agg.indep_opens += r.ic("MPIIO_INDEP_OPENS");
-                agg.coll_opens += r.ic("MPIIO_COLL_OPENS");
-                agg.indep_reads += r.ic("MPIIO_INDEP_READS");
-                agg.indep_writes += r.ic("MPIIO_INDEP_WRITES");
-                agg.coll_reads += r.ic("MPIIO_COLL_READS");
-                agg.coll_writes += r.ic("MPIIO_COLL_WRITES");
-                agg.opens += r.ic("MPIIO_INDEP_OPENS") + r.ic("MPIIO_COLL_OPENS");
-                agg.reads += r.ic("MPIIO_INDEP_READS")
-                    + r.ic("MPIIO_COLL_READS")
-                    + r.ic("MPIIO_SPLIT_READS")
-                    + r.ic("MPIIO_NB_READS");
-                agg.writes += r.ic("MPIIO_INDEP_WRITES")
-                    + r.ic("MPIIO_COLL_WRITES")
-                    + r.ic("MPIIO_SPLIT_WRITES")
-                    + r.ic("MPIIO_NB_WRITES");
-                agg.syncs += r.ic("MPIIO_SYNCS");
+                add(&mut agg.indep_opens, &[r.ic("MPIIO_INDEP_OPENS")]);
+                add(&mut agg.coll_opens, &[r.ic("MPIIO_COLL_OPENS")]);
+                add(&mut agg.indep_reads, &[r.ic("MPIIO_INDEP_READS")]);
+                add(&mut agg.indep_writes, &[r.ic("MPIIO_INDEP_WRITES")]);
+                add(&mut agg.coll_reads, &[r.ic("MPIIO_COLL_READS")]);
+                add(&mut agg.coll_writes, &[r.ic("MPIIO_COLL_WRITES")]);
+                add(
+                    &mut agg.opens,
+                    &[r.ic("MPIIO_INDEP_OPENS"), r.ic("MPIIO_COLL_OPENS")],
+                );
+                add(
+                    &mut agg.reads,
+                    &[
+                        r.ic("MPIIO_INDEP_READS"),
+                        r.ic("MPIIO_COLL_READS"),
+                        r.ic("MPIIO_SPLIT_READS"),
+                        r.ic("MPIIO_NB_READS"),
+                    ],
+                );
+                add(
+                    &mut agg.writes,
+                    &[
+                        r.ic("MPIIO_INDEP_WRITES"),
+                        r.ic("MPIIO_COLL_WRITES"),
+                        r.ic("MPIIO_SPLIT_WRITES"),
+                        r.ic("MPIIO_NB_WRITES"),
+                    ],
+                );
+                add(&mut agg.syncs, &[r.ic("MPIIO_SYNCS")]);
             }
             Module::Stdio => {
-                agg.opens += r.ic("STDIO_OPENS") + r.ic("STDIO_FDOPENS");
-                agg.reads += r.ic("STDIO_READS");
-                agg.writes += r.ic("STDIO_WRITES");
-                agg.seeks += r.ic("STDIO_SEEKS");
+                add(
+                    &mut agg.opens,
+                    &[r.ic("STDIO_OPENS"), r.ic("STDIO_FDOPENS")],
+                );
+                add(&mut agg.reads, &[r.ic("STDIO_READS")]);
+                add(&mut agg.writes, &[r.ic("STDIO_WRITES")]);
+                add(&mut agg.seeks, &[r.ic("STDIO_SEEKS")]);
             }
             Module::Lustre => {}
         }
-        agg.bytes_read += r.ic(&format!("{p}_BYTES_READ"));
-        agg.bytes_written += r.ic(&format!("{p}_BYTES_WRITTEN"));
+        add(&mut agg.bytes_read, &[r.ic(&format!("{p}_BYTES_READ"))]);
+        add(
+            &mut agg.bytes_written,
+            &[r.ic(&format!("{p}_BYTES_WRITTEN"))],
+        );
         agg.max_byte_read = agg.max_byte_read.max(r.ic(&format!("{p}_MAX_BYTE_READ")));
         agg.max_byte_written = agg
             .max_byte_written
@@ -259,13 +293,22 @@ pub fn aggregate(trace: &DarshanTrace, module: Module) -> Option<ModuleAgg> {
         agg.max_write_time_size = agg
             .max_write_time_size
             .max(r.ic(&format!("{p}_MAX_WRITE_TIME_SIZE")));
-        agg.seq_reads += r.ic(&format!("{p}_SEQ_READS"));
-        agg.seq_writes += r.ic(&format!("{p}_SEQ_WRITES"));
-        agg.consec_reads += r.ic(&format!("{p}_CONSEC_READS"));
-        agg.consec_writes += r.ic(&format!("{p}_CONSEC_WRITES"));
-        agg.rw_switches += r.ic(&format!("{p}_RW_SWITCHES"));
-        agg.file_not_aligned += r.ic(&format!("{p}_FILE_NOT_ALIGNED"));
-        agg.mem_not_aligned += r.ic(&format!("{p}_MEM_NOT_ALIGNED"));
+        add(&mut agg.seq_reads, &[r.ic(&format!("{p}_SEQ_READS"))]);
+        add(&mut agg.seq_writes, &[r.ic(&format!("{p}_SEQ_WRITES"))]);
+        add(&mut agg.consec_reads, &[r.ic(&format!("{p}_CONSEC_READS"))]);
+        add(
+            &mut agg.consec_writes,
+            &[r.ic(&format!("{p}_CONSEC_WRITES"))],
+        );
+        add(&mut agg.rw_switches, &[r.ic(&format!("{p}_RW_SWITCHES"))]);
+        add(
+            &mut agg.file_not_aligned,
+            &[r.ic(&format!("{p}_FILE_NOT_ALIGNED"))],
+        );
+        add(
+            &mut agg.mem_not_aligned,
+            &[r.ic(&format!("{p}_MEM_NOT_ALIGNED"))],
+        );
         agg.file_alignment = agg.file_alignment.max(r.ic(&format!("{p}_FILE_ALIGNMENT")));
         agg.read_time += r.fc(&format!("{p}_F_READ_TIME"));
         agg.write_time += r.fc(&format!("{p}_F_WRITE_TIME"));
@@ -276,8 +319,14 @@ pub fn aggregate(trace: &DarshanTrace, module: Module) -> Option<ModuleAgg> {
         agg.variance_rank_time = agg
             .variance_rank_time
             .max(r.fc(&format!("{p}_F_VARIANCE_RANK_TIME")));
-        agg.fastest_rank_bytes += r.ic(&format!("{p}_FASTEST_RANK_BYTES"));
-        agg.slowest_rank_bytes += r.ic(&format!("{p}_SLOWEST_RANK_BYTES"));
+        add(
+            &mut agg.fastest_rank_bytes,
+            &[r.ic(&format!("{p}_FASTEST_RANK_BYTES"))],
+        );
+        add(
+            &mut agg.slowest_rank_bytes,
+            &[r.ic(&format!("{p}_SLOWEST_RANK_BYTES"))],
+        );
         let hist_read_prefix = match module {
             Module::Mpiio => "MPIIO_SIZE_READ_AGG_".to_string(),
             _ => format!("{p}_SIZE_READ_"),
@@ -287,11 +336,26 @@ pub fn aggregate(trace: &DarshanTrace, module: Module) -> Option<ModuleAgg> {
             _ => format!("{p}_SIZE_WRITE_"),
         };
         for (i, bin) in SIZE_BINS.iter().enumerate() {
-            agg.read_hist[i] += r.ic(&format!("{hist_read_prefix}{bin}"));
-            agg.write_hist[i] += r.ic(&format!("{hist_write_prefix}{bin}"));
+            add(
+                &mut agg.read_hist[i],
+                &[r.ic(&format!("{hist_read_prefix}{bin}"))],
+            );
+            add(
+                &mut agg.write_hist[i],
+                &[r.ic(&format!("{hist_write_prefix}{bin}"))],
+            );
         }
     }
     Some(agg)
+}
+
+/// `acc += counters`, saturating at the `i64` bounds: counters summed over
+/// the rows of a crafted or corrupt trace must not wrap to a negative total
+/// (or panic, in a build with overflow checks).
+fn add(acc: &mut i64, counters: &[i64]) {
+    for &c in counters {
+        *acc = acc.saturating_add(c);
+    }
 }
 
 /// Summary of Lustre striping across files in a trace.
@@ -408,14 +472,14 @@ impl TraceSummary {
         let p = self
             .posix
             .as_ref()
-            .map(|a| a.bytes_read + a.bytes_written)
+            .map(|a| a.bytes_read.saturating_add(a.bytes_written))
             .unwrap_or(0);
         let s = self
             .stdio
             .as_ref()
-            .map(|a| a.bytes_read + a.bytes_written)
+            .map(|a| a.bytes_read.saturating_add(a.bytes_written))
             .unwrap_or(0);
-        p + s
+        p.saturating_add(s)
     }
 
     /// Fraction of bytes moved through STDIO rather than POSIX/MPI-IO.
@@ -494,6 +558,31 @@ mod tests {
         l.set_ic("LUSTRE_OST_ID_0", 13);
         t.push(l);
         t
+    }
+
+    #[test]
+    fn counter_sums_saturate_instead_of_wrapping() {
+        let mut t = DarshanTrace::new(JobHeader::new("./app", 2, 10.0));
+        for rank in 0..2 {
+            let mut r = Record::new(Module::Posix, rank, 7, "/scratch/huge");
+            r.set_ic("POSIX_READS", i64::MAX);
+            r.set_ic("POSIX_BYTES_READ", i64::MAX);
+            r.set_ic("POSIX_BYTES_WRITTEN", i64::MAX);
+            r.set_ic("POSIX_SIZE_READ_0_100", i64::MAX);
+            r.set_ic("POSIX_FSYNCS", i64::MAX);
+            r.set_ic("POSIX_FDSYNCS", i64::MAX);
+            t.push(r);
+        }
+        let agg = aggregate(&t, Module::Posix).unwrap();
+        assert_eq!(agg.bytes_read, i64::MAX);
+        assert_eq!(agg.bytes_written, i64::MAX);
+        assert_eq!(agg.reads, i64::MAX);
+        assert_eq!(agg.read_hist[0], i64::MAX);
+        assert_eq!(agg.syncs, i64::MAX);
+        // Quantities derived from the saturated sums stay in range too.
+        assert_eq!(agg.total_ops(), i64::MAX);
+        assert_eq!(agg.small_read_fraction(), 1.0);
+        assert_eq!(TraceSummary::of(&t).total_bytes(), i64::MAX);
     }
 
     #[test]

@@ -173,3 +173,28 @@ fn daemon_survives_malformed_and_oversized_lines() {
     assert!(llm_calls(&responses[3]) > 0);
     assert!(responses[3].get("error").is_none());
 }
+
+#[test]
+fn daemon_rejects_deeply_nested_json_and_keeps_serving() {
+    // 200 KB of nesting: far past the parser's 128-level bound, well
+    // under the line limit. Unbounded recursion would overflow the stack
+    // and abort the process.
+    let depth = 100_000;
+    let mut input = "[".repeat(depth) + &"]".repeat(depth);
+    input.push('\n');
+    input.push_str("{\"id\": \"probe\", \"stats\": true}\n");
+
+    let responses = run_daemon(&["--workers", "1"], &input);
+    assert_eq!(responses.len(), 2, "every line gets exactly one response");
+    assert_eq!(
+        responses[0].get("error_kind").and_then(Value::as_str),
+        Some("malformed_json"),
+        "{:?}",
+        responses[0]
+    );
+    assert!(
+        responses[1].get("stats").is_some(),
+        "the daemon must answer after the nested line: {:?}",
+        responses[1]
+    );
+}

@@ -43,6 +43,7 @@ pub fn from_str<T: FromJsonValue>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -140,9 +141,16 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects a document may have (serde_json's
+/// limit). The parser recurses once per level, so deeper input is a parse
+/// error rather than a stack overflow.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -174,8 +182,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(self.err("recursion limit exceeded"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -445,6 +464,22 @@ mod tests {
         assert!(from_str::<Value>("{not json").is_err());
         assert!(from_str::<Value>("").is_err());
         assert!(from_str::<Value>("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_recursion_limit() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "null" + &"}".repeat(n);
+        assert!(from_str::<Value>(&arrays(RECURSION_LIMIT)).is_ok());
+        assert!(from_str::<Value>(&arrays(RECURSION_LIMIT + 1)).is_err());
+        assert!(from_str::<Value>(&objects(RECURSION_LIMIT)).is_ok());
+        assert!(from_str::<Value>(&objects(RECURSION_LIMIT + 1)).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        let err = from_str::<Value>(&arrays(100_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Siblings do not add depth.
+        let wide = format!("[{}[]]", "[],".repeat(1000));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]

@@ -19,9 +19,10 @@ use rand_chacha::ChaCha8Rng;
 
 /// Outcome of pushing a prompt through the attention model.
 #[derive(Debug, Clone)]
-pub struct Attended {
-    /// Lines the model actually "sees", in original order.
-    pub lines: Vec<String>,
+pub struct Attended<'a> {
+    /// Lines the model actually "sees", in original order, borrowed from
+    /// the prompt.
+    pub lines: Vec<&'a str>,
     /// Total input tokens before attention.
     pub input_tokens: usize,
     /// Whether any content was lost.
@@ -36,7 +37,7 @@ pub fn count_tokens(text: &str) -> usize {
 }
 
 /// Apply the attention model of `profile` to `text`.
-pub fn attend(profile: &ModelProfile, text: &str, rng: &mut ChaCha8Rng) -> Attended {
+pub fn attend<'a>(profile: &ModelProfile, text: &'a str, rng: &mut ChaCha8Rng) -> Attended<'a> {
     let lines: Vec<&str> = text.lines().collect();
     let token_counts: Vec<usize> = lines.iter().map(|l| count_tokens(l).max(1)).collect();
     let input_tokens: usize = token_counts.iter().sum();
@@ -45,7 +46,7 @@ pub fn attend(profile: &ModelProfile, text: &str, rng: &mut ChaCha8Rng) -> Atten
     if input_tokens <= budget / 2 {
         // Comfortable load: everything attended.
         return Attended {
-            lines: lines.iter().map(|s| s.to_string()).collect(),
+            lines,
             input_tokens,
             truncated: false,
             retention: 1.0,
@@ -100,11 +101,11 @@ pub fn attend(profile: &ModelProfile, text: &str, rng: &mut ChaCha8Rng) -> Atten
         }
     }
 
-    let attended: Vec<String> = lines
+    let attended: Vec<&str> = lines
         .iter()
         .zip(&keep)
         .filter(|(_, &k)| k)
-        .map(|(l, _)| l.to_string())
+        .map(|(l, _)| *l)
         .collect();
     let retention = attended.len() as f64 / n.max(1) as f64;
     Attended {
@@ -119,12 +120,12 @@ pub fn attend(profile: &ModelProfile, text: &str, rng: &mut ChaCha8Rng) -> Atten
 mod tests {
     use super::*;
     use crate::profile::profile_or_panic;
-    use crate::rng::rng_for;
+    use crate::rng::{rng_for, stable_hash};
 
     #[test]
     fn short_input_fully_attended() {
         let p = profile_or_panic("gpt-4o");
-        let mut rng = rng_for("gpt-4o", "x", 0);
+        let mut rng = rng_for("gpt-4o", stable_hash("x"), 0);
         let a = attend(p, "one two three\nfour five", &mut rng);
         assert_eq!(a.lines.len(), 2);
         assert!(!a.truncated);
@@ -134,7 +135,7 @@ mod tests {
     #[test]
     fn oversized_input_keeps_head_and_tail() {
         let p = profile_or_panic("gpt-4");
-        let mut rng = rng_for("gpt-4", "y", 0);
+        let mut rng = rng_for("gpt-4", stable_hash("y"), 0);
         let body: String = (0..4000)
             .map(|i| format!("line {i} with a few tokens here\n"))
             .collect();
@@ -156,7 +157,7 @@ mod tests {
         // ~0.9 of budget.
         let nlines = p.context_tokens * 9 / 10 / 6;
         let body: String = (0..nlines).map(|i| format!("l {i} a b c d\n")).collect();
-        let mut rng = rng_for("gpt-4o", "z", 0);
+        let mut rng = rng_for("gpt-4o", stable_hash("z"), 0);
         let a = attend(p, &body, &mut rng);
         assert!(a.truncated);
         assert!(
@@ -172,8 +173,8 @@ mod tests {
     fn attention_is_deterministic() {
         let p = profile_or_panic("llama-3-70b");
         let body: String = (0..3000).map(|i| format!("row {i} x y z\n")).collect();
-        let a1 = attend(p, &body, &mut rng_for("llama-3-70b", &body, 7));
-        let a2 = attend(p, &body, &mut rng_for("llama-3-70b", &body, 7));
+        let a1 = attend(p, &body, &mut rng_for("llama-3-70b", stable_hash(&body), 7));
+        let a2 = attend(p, &body, &mut rng_for("llama-3-70b", stable_hash(&body), 7));
         assert_eq!(a1.lines, a2.lines);
     }
 }

@@ -140,7 +140,7 @@ impl Evidence {
     }
 
     /// Build evidence from attended lines (both input shapes).
-    pub fn from_lines(lines: &[String]) -> Self {
+    pub fn from_lines(lines: &[&str]) -> Self {
         let mut ev = Evidence::default();
         let mut raw = RawAccumulator::default();
         for line in lines {
@@ -463,17 +463,13 @@ impl RawAccumulator {
 mod tests {
     use super::*;
 
-    fn lines(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn structured_evidence_parsed() {
-        let ev = Evidence::from_lines(&lines(&[
+        let ev = Evidence::from_lines(&[
             "EVIDENCE posix.small_write_fraction=0.95",
             "CONTEXT nprocs=16 runtime=300",
             "REFERENCE claim=small_io_aggregation cite=[The Cost of Small Requests, SC 2020]",
-        ]));
+        ]);
         assert_eq!(ev.get("posix.small_write_fraction"), Some(0.95));
         assert_eq!(ev.get(keys::NPROCS), Some(16.0));
         assert!(ev.is_grounded("small_io_aggregation"));
@@ -482,7 +478,7 @@ mod tests {
 
     #[test]
     fn raw_rows_derive_fractions() {
-        let ev = Evidence::from_lines(&lines(&[
+        let ev = Evidence::from_lines(&[
             "# nprocs: 8",
             "# run time: 100.00",
             "POSIX\t-1\t1\tPOSIX_READS\t100\t/f\t/scratch\tlustre",
@@ -495,7 +491,7 @@ mod tests {
             "LUSTRE\t-1\t1\tLUSTRE_STRIPE_WIDTH\t1\t/f\t/scratch\tlustre",
             "LUSTRE\t-1\t1\tLUSTRE_OSTS\t64\t/f\t/scratch\tlustre",
             "LUSTRE\t-1\t1\tLUSTRE_OST_ID_0\t0\t/f\t/scratch\tlustre",
-        ]));
+        ]);
         assert!((ev.get(keys::POSIX_SMALL_READ_FRACTION).unwrap() - 0.8).abs() < 1e-9);
         assert!((ev.get(keys::POSIX_SEQ_WRITE_FRACTION).unwrap() - 0.95).abs() < 1e-9);
         assert!((ev.get(keys::POSIX_META_FRACTION).unwrap() - 0.1).abs() < 1e-9);
@@ -509,53 +505,53 @@ mod tests {
     fn truncated_mpiio_rows_mean_module_invisible() {
         // Same trace, but all MPIIO rows were lost to attention: the model
         // cannot know MPI-IO was used.
-        let ev = Evidence::from_lines(&lines(&[
+        let ev = Evidence::from_lines(&[
             "# nprocs: 8",
             "POSIX\t-1\t1\tPOSIX_READS\t100\t/f\t/scratch\tlustre",
-        ]));
+        ]);
         assert_eq!(ev.get(keys::MPIIO_PRESENT), Some(0.0));
-        let ev2 = Evidence::from_lines(&lines(&[
+        let ev2 = Evidence::from_lines(&[
             "# nprocs: 8",
             "POSIX\t-1\t1\tPOSIX_READS\t100\t/f\t/scratch\tlustre",
             "MPIIO\t-1\t1\tMPIIO_INDEP_READS\t100\t/f\t/scratch\tlustre",
-        ]));
+        ]);
         assert_eq!(ev2.get(keys::MPIIO_PRESENT), Some(1.0));
         assert_eq!(ev2.get(keys::MPIIO_INDEP_READS), Some(100.0));
     }
 
     #[test]
     fn reuse_needs_both_rows() {
-        let with_range = Evidence::from_lines(&lines(&[
+        let with_range = Evidence::from_lines(&[
             "# nprocs: 1",
             "POSIX\t0\t1\tPOSIX_BYTES_READ\t1000\t/f\t/\text4",
             "POSIX\t0\t1\tPOSIX_MAX_BYTE_READ\t199\t/f\t/\text4",
-        ]));
+        ]);
         assert!((with_range.get(keys::POSIX_READ_REUSE).unwrap() - 5.0).abs() < 1e-9);
-        let without = Evidence::from_lines(&lines(&[
+        let without = Evidence::from_lines(&[
             "# nprocs: 1",
             "POSIX\t0\t1\tPOSIX_BYTES_READ\t1000\t/f\t/\text4",
-        ]));
+        ]);
         assert!(without.get(keys::POSIX_READ_REUSE).is_none());
     }
 
     #[test]
     fn structured_evidence_wins_over_raw() {
-        let ev = Evidence::from_lines(&lines(&[
+        let ev = Evidence::from_lines(&[
             "EVIDENCE posix.reads=42",
             "POSIX\t0\t1\tPOSIX_READS\t100\t/f\t/\text4",
             "# nprocs: 4",
-        ]));
+        ]);
         assert_eq!(ev.get(keys::POSIX_READS), Some(42.0));
     }
 
     #[test]
     fn garbage_lines_ignored() {
-        let ev = Evidence::from_lines(&lines(&[
+        let ev = Evidence::from_lines(&[
             "hello world",
             "EVIDENCE broken",
             "POSIX\tbad\trow",
             "REFERENCE cite=[no claim]",
-        ]));
+        ]);
         assert!(ev.values.is_empty());
         assert!(ev.references.is_empty());
     }

@@ -229,13 +229,14 @@ impl FaultPlan {
     }
 
     /// Draw the outcome of one delivery attempt. Deterministic in
-    /// (model, prompt, salt, attempt): the same attempt lane replays the
+    /// (model, prompt, salt, attempt), with the prompt given as its
+    /// [`crate::rng::stable_hash`]: the same attempt lane replays the
     /// same latency and fault in every run, and distinct lanes (retries,
     /// hedges) draw independently.
     pub fn draw(
         &self,
         model: &str,
-        prompt: &str,
+        prompt_hash: u64,
         salt: u64,
         attempt: u32,
         output_tokens: usize,
@@ -246,7 +247,7 @@ impl FaultPlan {
                 fault: None,
             };
         }
-        let mut rng = rng_for_attempt(model, prompt, salt, attempt);
+        let mut rng = rng_for_attempt(model, prompt_hash, salt, attempt);
         // Fixed draw order regardless of configuration, so enabling one
         // knob never shifts another knob's stream position.
         let u_timeout: f64 = rng.gen();
@@ -443,6 +444,7 @@ pub fn sleep_until(at: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::stable_hash;
 
     fn tail() -> TailSpec {
         TailSpec {
@@ -482,13 +484,13 @@ mod tests {
                 truncate_probability: 0.05,
             });
         for attempt in [0u32, 1, 7, 0x8000_0000] {
-            let a = plan.draw("gpt-4o", "prompt body", 3, attempt, 120);
-            let b = plan.draw("gpt-4o", "prompt body", 3, attempt, 120);
+            let a = plan.draw("gpt-4o", stable_hash("prompt body"), 3, attempt, 120);
+            let b = plan.draw("gpt-4o", stable_hash("prompt body"), 3, attempt, 120);
             assert_eq!(a, b, "attempt {attempt} must replay identically");
         }
         // Distinct lanes decorrelate (at least one of several differs).
         let lanes: Vec<AttemptDraw> = (0..16)
-            .map(|i| plan.draw("gpt-4o", "prompt body", 3, i, 120))
+            .map(|i| plan.draw("gpt-4o", stable_hash("prompt body"), 3, i, 120))
             .collect();
         assert!(
             lanes.iter().any(|d| *d != lanes[0]),
@@ -503,7 +505,7 @@ mod tests {
             .with_tail(tail());
         let mut stragglers = 0usize;
         for i in 0..400 {
-            let d = plan.draw("m", &format!("p{i}"), 0, 0, 100);
+            let d = plan.draw("m", stable_hash(&format!("p{i}")), 0, 0, 100);
             assert!(
                 d.latency <= Duration::from_millis(200),
                 "cap violated: {:?}",
@@ -526,14 +528,14 @@ mod tests {
             timeout: Duration::from_millis(5),
             ..FaultSpec::default()
         });
-        let d = plan.draw("m", "p", 0, 0, 10);
+        let d = plan.draw("m", stable_hash("p"), 0, 0, 10);
         assert_eq!(d.fault.map(|f| f.kind), Some(FaultKind::Timeout), "{d:?}");
         assert_eq!(d.latency, Duration::from_millis(5));
     }
 
     #[test]
     fn empty_plan_draws_nothing() {
-        let d = FaultPlan::new().draw("m", "p", 0, 0, 10);
+        let d = FaultPlan::new().draw("m", stable_hash("p"), 0, 0, 10);
         assert_eq!(d.latency, Duration::ZERO);
         assert_eq!(d.fault, None);
     }

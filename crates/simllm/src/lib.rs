@@ -43,8 +43,36 @@ pub use faults::{
 pub use profile::{profile, profile_or_panic, ModelProfile, PROFILES};
 pub use report::{extract_issues, Diagnosis};
 
+use ioobserve::{Counter, FloatCounter, Histogram};
 use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// Handles on the global registry's per-call `llm.*` instruments, looked
+/// up once per process instead of by name on every delivery.
+struct CallMetrics {
+    calls: Arc<Counter>,
+    input_tokens: Arc<Counter>,
+    output_tokens: Arc<Counter>,
+    cost_usd: Arc<FloatCounter>,
+    call_ns: Arc<Histogram>,
+    attempts: Arc<Histogram>,
+}
+
+fn call_metrics() -> &'static CallMetrics {
+    static HANDLES: OnceLock<CallMetrics> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        let m = ioobserve::metrics();
+        CallMetrics {
+            calls: m.counter("llm.calls"),
+            input_tokens: m.counter("llm.input_tokens"),
+            output_tokens: m.counter("llm.output_tokens"),
+            cost_usd: m.float_counter("llm.cost_usd"),
+            call_ns: m.histogram("llm.call_ns"),
+            attempts: m.histogram("llm.attempts"),
+        }
+    })
+}
 
 /// A completion request.
 #[derive(Debug, Clone, Default)]
@@ -161,7 +189,8 @@ impl SimLlm {
     pub fn prepare(&self, request: &CompletionRequest) -> Prepared<'_> {
         let started = Instant::now();
         let prompt = format!("{}\n{}", request.system, request.user);
-        let mut rng = rng::rng_for(self.profile.name, &prompt, request.salt);
+        let prompt_hash = rng::stable_hash(&prompt);
+        let mut rng = rng::rng_for(self.profile.name, prompt_hash, request.salt);
         let attended = context::attend(self.profile, &prompt, &mut rng);
 
         let task = tasks::parse_task(&attended.lines).unwrap_or_else(|| "diagnose".to_string());
@@ -182,7 +211,7 @@ impl SimLlm {
             (attended.input_tokens + output_tokens) as f64 / 1.0e6 * self.profile.cost_per_mtok;
         Prepared {
             model: self,
-            prompt,
+            prompt_hash,
             salt: request.salt,
             completion: Completion {
                 text,
@@ -219,8 +248,9 @@ impl SimLlm {
 /// attempt is committed.
 pub struct Prepared<'a> {
     model: &'a SimLlm,
-    /// `system\nuser`: the key of every content and attempt draw.
-    prompt: String,
+    /// [`rng::stable_hash`] of `system\nuser`: the key of every content
+    /// and attempt draw.
+    prompt_hash: u64,
     salt: u64,
     completion: Completion,
     task: String,
@@ -236,7 +266,7 @@ impl Prepared<'_> {
     pub fn draw(&self, lane: u32) -> AttemptDraw {
         self.model.plan.draw(
             self.model.profile.name,
-            &self.prompt,
+            self.prompt_hash,
             self.salt,
             lane,
             self.completion.output_tokens,
@@ -246,7 +276,7 @@ impl Prepared<'_> {
     /// An RNG in the attempt-keyed domain of this request, for caller
     /// draws that must replay per lane (retry backoff).
     pub fn lane_rng(&self, lane: u32) -> rand_chacha::ChaCha8Rng {
-        rng::rng_for_attempt(self.model.profile.name, &self.prompt, self.salt, lane)
+        rng::rng_for_attempt(self.model.profile.name, self.prompt_hash, self.salt, lane)
     }
 
     /// Launch attempt `lane` now: open its `llm.call` span and draw its
@@ -298,15 +328,12 @@ impl Prepared<'_> {
         span.set_attr("input_tokens", completion.input_tokens);
         span.set_attr("output_tokens", completion.output_tokens);
         drop(span);
-        let m = ioobserve::metrics();
-        m.counter("llm.calls").inc();
-        m.counter("llm.input_tokens")
-            .add(completion.input_tokens as u64);
-        m.counter("llm.output_tokens")
-            .add(completion.output_tokens as u64);
-        m.float_counter("llm.cost_usd").add(completion.cost_usd);
-        m.histogram("llm.call_ns")
-            .record_duration(self.started.elapsed());
+        let m = call_metrics();
+        m.calls.inc();
+        m.input_tokens.add(completion.input_tokens as u64);
+        m.output_tokens.add(completion.output_tokens as u64);
+        m.cost_usd.add(completion.cost_usd);
+        m.call_ns.record_duration(self.started.elapsed());
         Ok(completion.clone())
     }
 }
@@ -352,9 +379,7 @@ impl LanguageModel for SimLlm {
             sleep_until(attempt.finish);
             match prepared.resolve(attempt) {
                 Ok(completion) => {
-                    ioobserve::metrics()
-                        .histogram("llm.attempts")
-                        .record(u64::from(lane) + 1);
+                    call_metrics().attempts.record(u64::from(lane) + 1);
                     return completion;
                 }
                 Err(fault) => {

@@ -1,30 +1,37 @@
 //! Deterministic seeding: every stochastic decision in the simulator draws
 //! from a ChaCha stream seeded by a stable hash of (model, prompt, salt), so
 //! identical requests always produce identical completions while different
-//! prompts decorrelate.
+//! prompts decorrelate. Callers hash the prompt once ([`stable_hash`]) and
+//! seed every stream of that request from the hash.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Stable FNV-1a 64-bit hash.
 pub fn stable_hash(s: &str) -> u64 {
+    fnv1a(s.as_bytes())
+}
+
+/// FNV-1a 64-bit over raw bytes ([`stable_hash`] of a `&str`'s bytes).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
 }
 
-/// RNG for a (model, prompt, salt) triple.
-pub fn rng_for(model: &str, prompt: &str, salt: u64) -> ChaCha8Rng {
-    let seed = stable_hash(model)
-        ^ stable_hash(prompt).rotate_left(17)
-        ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+/// RNG for a (model, prompt, salt) triple; `prompt_hash` is
+/// [`stable_hash`] of the prompt.
+pub fn rng_for(model: &str, prompt_hash: u64, salt: u64) -> ChaCha8Rng {
+    let seed =
+        stable_hash(model) ^ prompt_hash.rotate_left(17) ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     ChaCha8Rng::seed_from_u64(seed)
 }
 
-/// RNG for the latency/fault domain of one delivery *attempt*.
+/// RNG for the latency/fault domain of one delivery *attempt*;
+/// `prompt_hash` is [`stable_hash`] of the prompt.
 ///
 /// Content draws come from [`rng_for`] and deliberately ignore the
 /// attempt number — a retry or hedged duplicate must reproduce the exact
@@ -33,10 +40,10 @@ pub fn rng_for(model: &str, prompt: &str, salt: u64) -> ChaCha8Rng {
 /// fault outcome while remaining bit-identical across runs. The domain
 /// tag keeps position 0 of this stream uncorrelated with position 0 of
 /// the content stream even at `attempt == 0`.
-pub fn rng_for_attempt(model: &str, prompt: &str, salt: u64, attempt: u32) -> ChaCha8Rng {
+pub fn rng_for_attempt(model: &str, prompt_hash: u64, salt: u64, attempt: u32) -> ChaCha8Rng {
     let seed = stable_hash("fault-domain")
         ^ stable_hash(model)
-        ^ stable_hash(prompt).rotate_left(17)
+        ^ prompt_hash.rotate_left(17)
         ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ (attempt as u64).wrapping_mul(0xd1b5_4a32_d192_ed03);
     ChaCha8Rng::seed_from_u64(seed)
@@ -55,8 +62,8 @@ mod tests {
 
     #[test]
     fn same_inputs_same_stream() {
-        let mut a = rng_for("gpt-4o", "hello", 1);
-        let mut b = rng_for("gpt-4o", "hello", 1);
+        let mut a = rng_for("gpt-4o", stable_hash("hello"), 1);
+        let mut b = rng_for("gpt-4o", stable_hash("hello"), 1);
         for _ in 0..8 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
@@ -64,41 +71,41 @@ mod tests {
 
     #[test]
     fn different_salt_different_stream() {
-        let mut a = rng_for("gpt-4o", "hello", 1);
-        let mut b = rng_for("gpt-4o", "hello", 2);
+        let mut a = rng_for("gpt-4o", stable_hash("hello"), 1);
+        let mut b = rng_for("gpt-4o", stable_hash("hello"), 2);
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]
     fn different_model_different_stream() {
-        let mut a = rng_for("gpt-4o", "hello", 1);
-        let mut b = rng_for("llama-3-70b", "hello", 1);
+        let mut a = rng_for("gpt-4o", stable_hash("hello"), 1);
+        let mut b = rng_for("llama-3-70b", stable_hash("hello"), 1);
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]
     fn attempt_domain_is_separate_and_attempt_keyed() {
         // Same attempt lane replays; different lanes decorrelate.
-        let mut a = rng_for_attempt("gpt-4o", "hello", 1, 0);
-        let mut b = rng_for_attempt("gpt-4o", "hello", 1, 0);
+        let mut a = rng_for_attempt("gpt-4o", stable_hash("hello"), 1, 0);
+        let mut b = rng_for_attempt("gpt-4o", stable_hash("hello"), 1, 0);
         for _ in 0..8 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
-        let mut c = rng_for_attempt("gpt-4o", "hello", 1, 1);
+        let mut c = rng_for_attempt("gpt-4o", stable_hash("hello"), 1, 1);
         assert_ne!(
-            rng_for_attempt("gpt-4o", "hello", 1, 0).gen::<u64>(),
+            rng_for_attempt("gpt-4o", stable_hash("hello"), 1, 0).gen::<u64>(),
             c.gen::<u64>()
         );
         // The fault domain never collides with the content domain.
         assert_ne!(
-            rng_for("gpt-4o", "hello", 1).gen::<u64>(),
-            rng_for_attempt("gpt-4o", "hello", 1, 0).gen::<u64>()
+            rng_for("gpt-4o", stable_hash("hello"), 1).gen::<u64>(),
+            rng_for_attempt("gpt-4o", stable_hash("hello"), 1, 0).gen::<u64>()
         );
     }
 
     #[test]
     fn noise_bounded() {
-        let mut rng = rng_for("m", "p", 0);
+        let mut rng = rng_for("m", stable_hash("p"), 0);
         for _ in 0..100 {
             let n = noise(&mut rng, 0.15);
             assert!(n.abs() <= 0.15);

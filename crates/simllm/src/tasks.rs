@@ -10,23 +10,24 @@ use crate::evidence::{keys as K, Evidence};
 use crate::iokb;
 use crate::profile::ModelProfile;
 use crate::quality;
-use crate::rng::noise;
+use crate::rng::{fnv1a, noise};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use tracebench::IssueLabel;
 
-/// A parsed prompt section: header line remainder plus body lines.
+/// A parsed prompt section: header line remainder plus body lines, both
+/// borrowed from the attended prompt.
 #[derive(Debug, Clone)]
-pub struct Section {
+pub struct Section<'a> {
     /// Header text after `## ` (e.g. `SUMMARY 1 I/O Size`).
-    pub header: String,
-    /// Body lines until the next section.
-    pub body: Vec<String>,
+    pub header: &'a str,
+    /// Body lines (trailing whitespace trimmed) until the next section.
+    pub body: Vec<&'a str>,
 }
 
 /// Parse the task name (`### TASK: x`) from attended lines.
-pub fn parse_task(lines: &[String]) -> Option<String> {
+pub fn parse_task(lines: &[&str]) -> Option<String> {
     lines.iter().find_map(|l| {
         l.trim()
             .strip_prefix("### TASK:")
@@ -35,26 +36,39 @@ pub fn parse_task(lines: &[String]) -> Option<String> {
 }
 
 /// Split attended lines into sections.
-pub fn parse_sections(lines: &[String]) -> Vec<Section> {
-    let mut out: Vec<Section> = Vec::new();
+pub fn parse_sections<'a>(lines: &[&'a str]) -> Vec<Section<'a>> {
+    let mut out: Vec<Section<'a>> = Vec::new();
     for line in lines {
         let t = line.trim_end();
         if let Some(h) = t.trim_start().strip_prefix("## ") {
             out.push(Section {
-                header: h.trim().to_string(),
+                header: h.trim(),
                 body: Vec::new(),
             });
         } else if let Some(cur) = out.last_mut() {
-            cur.body.push(t.to_string());
+            cur.body.push(t);
         }
     }
     out
 }
 
-fn section<'a>(sections: &'a [Section], name: &str) -> Option<&'a Section> {
-    sections
-        .iter()
-        .find(|s| s.header.to_uppercase().starts_with(&name.to_uppercase()))
+/// Whether `header`, upper-cased, starts with `name` (upper-case ASCII).
+/// An ASCII header is compared in place; any other is upper-cased first,
+/// because a non-ASCII letter can upper-case to ASCII (`ſOURCE`, with
+/// U+017F, reads as `SOURCE`).
+fn header_is(header: &str, name: &str) -> bool {
+    debug_assert!(!name.bytes().any(|b| b.is_ascii_lowercase()));
+    if header.is_ascii() {
+        header
+            .get(..name.len())
+            .is_some_and(|prefix| prefix.eq_ignore_ascii_case(name))
+    } else {
+        header.to_uppercase().starts_with(name)
+    }
+}
+
+fn section<'s, 'a>(sections: &'s [Section<'a>], name: &str) -> Option<&'s Section<'a>> {
+    sections.iter().find(|s| header_is(s.header, name))
 }
 
 // ---------------------------------------------------------------------------
@@ -66,12 +80,7 @@ fn section<'a>(sections: &'a [Section], name: &str) -> Option<&'a Section> {
 /// `load` is the input-tokens / context-budget ratio (clamped to [0, 1]):
 /// heavier prompts make the model both more error-prone at deriving
 /// aggregates from raw counter rows and more hallucination-prone.
-pub fn diagnose(
-    profile: &ModelProfile,
-    lines: &[String],
-    load: f64,
-    rng: &mut ChaCha8Rng,
-) -> String {
+pub fn diagnose(profile: &ModelProfile, lines: &[&str], load: f64, rng: &mut ChaCha8Rng) -> String {
     let mut ev = Evidence::from_lines(lines);
     // Aggregates the model had to compute itself from raw rows are lost with
     // a probability that grows with prompt load and shrinks with capability
@@ -212,7 +221,7 @@ fn bin_range(bin: &str) -> String {
 }
 
 /// Run the JSON→NL transformation task.
-pub fn transform(profile: &ModelProfile, lines: &[String]) -> String {
+pub fn transform(profile: &ModelProfile, lines: &[&str]) -> String {
     let sections = parse_sections(lines);
     let json_text = section(&sections, "JSON")
         .map(|s| s.body.join("\n"))
@@ -321,11 +330,11 @@ struct Point {
 /// (`merge_fidelity`), but every additional simultaneous document costs
 /// retention, and middle documents suffer extra positional loss — the
 /// effect the paper's tree-based merge is designed around (Fig. 6).
-pub fn merge(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> String {
+pub fn merge(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
     let summaries: Vec<&Section> = sections
         .iter()
-        .filter(|s| s.header.to_uppercase().starts_with("SUMMARY"))
+        .filter(|s| header_is(s.header, "SUMMARY"))
         .collect();
     let n = summaries.len();
     let mut out = String::from("## MERGED SUMMARY\n");
@@ -384,38 +393,71 @@ fn strip_refs(line: &str) -> String {
 // filter (self-reflection relevance judgement)
 // ---------------------------------------------------------------------------
 
-/// Token-set cosine similarity between two texts.
-fn overlap(a: &str, b: &str) -> f64 {
-    use std::collections::BTreeSet;
-    let ta: BTreeSet<String> = a
-        .to_lowercase()
-        .split(|c: char| !c.is_ascii_alphanumeric())
-        .filter(|t| t.len() > 2)
-        .map(String::from)
-        .collect();
-    let tb: BTreeSet<String> = b
-        .to_lowercase()
-        .split(|c: char| !c.is_ascii_alphanumeric())
-        .filter(|t| t.len() > 2)
-        .map(String::from)
-        .collect();
+/// Token-set cosine similarity between two texts, each given as lines.
+///
+/// A token is a run of more than two ASCII alphanumeric bytes in the
+/// lower-cased text; a line break separates tokens as a space would. The
+/// set is exact: it is keyed by (FNV hash, bytes), so a hash collision
+/// still compares unequal. Non-ASCII text takes the same path: it is
+/// lower-cased by the Unicode rules (`K`, U+212A, becomes `k`), and its
+/// multi-byte sequences, whose bytes are all non-alphanumeric, split
+/// tokens like any other separator.
+fn overlap(a: &[&str], b: &[&str]) -> f64 {
+    let (mut lower_a, mut lower_b) = (Vec::new(), Vec::new());
+    let ta = token_set(a, &mut lower_a);
+    let tb = token_set(b, &mut lower_b);
     if ta.is_empty() || tb.is_empty() {
         return 0.0;
     }
-    let inter = ta.intersection(&tb).count() as f64;
-    inter / ((ta.len() as f64).sqrt() * (tb.len() as f64).sqrt())
+    // Both sets are sorted and deduplicated: count the intersection with
+    // one merge walk.
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < ta.len() && j < tb.len() {
+        match ta[i].cmp(&tb[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    inter as f64 / ((ta.len() as f64).sqrt() * (tb.len() as f64).sqrt())
+}
+
+/// The sorted, deduplicated `(hash, token)` set of `lines`, lower-cased
+/// into `lower`. ASCII text needs exactly two allocations, however many
+/// tokens it holds: `lower` and the set, both sized up front (a token of
+/// three or more bytes plus its separator takes at least four bytes).
+fn token_set<'b>(lines: &[&str], lower: &'b mut Vec<u8>) -> Vec<(u64, &'b [u8])> {
+    lower.reserve(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        if line.is_ascii() {
+            lower.extend(line.bytes().map(|b| b.to_ascii_lowercase()));
+        } else {
+            lower.extend_from_slice(line.to_lowercase().as_bytes());
+        }
+        lower.push(b'\n');
+    }
+    let lower: &'b [u8] = lower;
+    let mut set = Vec::with_capacity(lower.len() / 4 + 1);
+    set.extend(
+        lower
+            .split(|b| !b.is_ascii_alphanumeric())
+            .filter(|t| t.len() > 2)
+            .map(|t| (fnv1a(t), t)),
+    );
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 /// Run the relevance-filter task: is SOURCE useful for FRAGMENT?
-pub fn filter(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> String {
+pub fn filter(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
-    let fragment = section(&sections, "FRAGMENT")
-        .map(|s| s.body.join(" "))
-        .unwrap_or_default();
-    let source = section(&sections, "SOURCE")
-        .map(|s| s.body.join(" "))
-        .unwrap_or_default();
-    let sim = overlap(&fragment, &source);
+    let body = |name| section(&sections, name).map_or(&[][..], |s| &s.body[..]);
+    let sim = overlap(body("FRAGMENT"), body("SOURCE"));
     // Weaker models judge relevance more noisily.
     let amp = 0.02 + (1.0 - profile.capability) * 0.08;
     let score = sim + noise(rng, amp);
@@ -431,7 +473,7 @@ pub fn filter(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) ->
 // ---------------------------------------------------------------------------
 
 /// Run the ranking task over `## CANDIDATE <tag>` blocks.
-pub fn rank(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> String {
+pub fn rank(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
     let criterion = section(&sections, "CRITERION")
         .and_then(|s| s.body.first().cloned())
@@ -456,7 +498,7 @@ pub fn rank(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> S
 
     let candidates: Vec<(&Section, String)> = sections
         .iter()
-        .filter(|s| s.header.to_uppercase().starts_with("CANDIDATE"))
+        .filter(|s| header_is(s.header, "CANDIDATE"))
         .map(|s| {
             let tag = s
                 .header
@@ -537,7 +579,7 @@ pub fn rank(profile: &ModelProfile, lines: &[String], rng: &mut ChaCha8Rng) -> S
 
 /// Run the chat task: answer a follow-up question using the diagnosis
 /// context and its references.
-pub fn chat(profile: &ModelProfile, lines: &[String], _rng: &mut ChaCha8Rng) -> String {
+pub fn chat(profile: &ModelProfile, lines: &[&str], _rng: &mut ChaCha8Rng) -> String {
     let sections = parse_sections(lines);
     let ev = Evidence::from_lines(lines);
     let question = section(&sections, "QUESTION")
@@ -634,10 +676,10 @@ pub fn chat(profile: &ModelProfile, lines: &[String], _rng: &mut ChaCha8Rng) -> 
 mod tests {
     use super::*;
     use crate::profile::profile_or_panic;
-    use crate::rng::rng_for;
+    use crate::rng::{rng_for, stable_hash};
 
-    fn lines(s: &str) -> Vec<String> {
-        s.lines().map(String::from).collect()
+    fn lines(s: &str) -> Vec<&str> {
+        s.lines().collect()
     }
 
     #[test]
@@ -662,7 +704,7 @@ mod tests {
              EVIDENCE posix.small_write_fraction=0.95\n\
              REFERENCE claim=small_io_aggregation cite=[The Cost of Small Requests, SC 2020]",
         );
-        let mut rng = rng_for("gpt-4o", "t", 0);
+        let mut rng = rng_for("gpt-4o", stable_hash("t"), 0);
         let outp = diagnose(p, &l, 0.05, &mut rng);
         assert!(outp.contains("Small Write I/O Requests"), "{outp}");
         assert!(outp.contains("Reference: [The Cost of Small Requests, SC 2020]"));
@@ -685,7 +727,12 @@ mod tests {
         // stripe misconception; the grounded run never does.
         let mut ungrounded_misses = 0;
         for salt in 0..40 {
-            let ug = diagnose(p, &lines(base), 0.05, &mut rng_for("gpt-4o", base, salt));
+            let ug = diagnose(
+                p,
+                &lines(base),
+                0.05,
+                &mut rng_for("gpt-4o", stable_hash(base), salt),
+            );
             if ug.contains("optimal for minimizing") {
                 ungrounded_misses += 1;
             }
@@ -693,7 +740,7 @@ mod tests {
                 p,
                 &lines(&grounded),
                 0.05,
-                &mut rng_for("gpt-4o", &grounded, salt),
+                &mut rng_for("gpt-4o", stable_hash(&grounded), salt),
             );
             assert!(
                 !g.contains("optimal for minimizing"),
@@ -725,7 +772,11 @@ mod tests {
                       ## SUMMARY 2 Meta\n- POINT[metadata] meta heavy ;; REFS: [B]";
         let mut kept = 0;
         for salt in 0..30 {
-            let outp = merge(p, &lines(prompt), &mut rng_for("gpt-4o", prompt, salt));
+            let outp = merge(
+                p,
+                &lines(prompt),
+                &mut rng_for("gpt-4o", stable_hash(prompt), salt),
+            );
             kept += outp.matches("- POINT[").count();
         }
         // 60 possible points; gpt-4o fidelity 0.92 → expect ≥ 48 kept.
@@ -746,7 +797,7 @@ mod tests {
             let outp = merge(
                 p,
                 &lines(&prompt),
-                &mut rng_for("llama-3-70b", &prompt, salt),
+                &mut rng_for("llama-3-70b", stable_hash(&prompt), salt),
             );
             kept += outp.matches("- POINT[").count();
         }
@@ -758,7 +809,11 @@ mod tests {
     fn merge_dedups_by_key() {
         let p = profile_or_panic("o1-preview");
         let prompt = "### TASK: merge\n## SUMMARY 1 A\n- POINT[x] first\n## SUMMARY 2 B\n- POINT[x] duplicate";
-        let outp = merge(p, &lines(prompt), &mut rng_for("o1-preview", prompt, 3));
+        let outp = merge(
+            p,
+            &lines(prompt),
+            &mut rng_for("o1-preview", stable_hash(prompt), 3),
+        );
         assert!(outp.matches("- POINT[x]").count() <= 1);
     }
 
@@ -769,8 +824,16 @@ mod tests {
                        ## SOURCE\nsmall write requests below 1 MB waste parallel file system bandwidth aggregate them";
         let unrelated = "### TASK: filter\n## FRAGMENT\nmost write operations are small below 1 MB wasting bandwidth\n\
                          ## SOURCE\nquantum chromodynamics lattice gauge theory convergence tensor contraction";
-        let r = filter(p, &lines(related), &mut rng_for("m", related, 0));
-        let u = filter(p, &lines(unrelated), &mut rng_for("m", unrelated, 0));
+        let r = filter(
+            p,
+            &lines(related),
+            &mut rng_for("m", stable_hash(related), 0),
+        );
+        let u = filter(
+            p,
+            &lines(unrelated),
+            &mut rng_for("m", stable_hash(unrelated), 0),
+        );
         assert!(r.starts_with("RELEVANT"), "{r}");
         assert!(u.starts_with("IRRELEVANT"), "{u}");
     }
@@ -784,7 +847,11 @@ mod tests {
                       ## CANDIDATE Tool-2\nEverything looks fine.\n";
         let mut wins = 0;
         for salt in 0..20 {
-            let outp = rank(p, &lines(prompt), &mut rng_for("gpt-4o", prompt, salt));
+            let outp = rank(
+                p,
+                &lines(prompt),
+                &mut rng_for("gpt-4o", stable_hash(prompt), salt),
+            );
             if outp.contains("RANKING: Tool-1 > Tool-2") {
                 wins += 1;
             }
@@ -801,7 +868,11 @@ mod tests {
                       ## CANDIDATE Tool-2\nIssue: Small Write I/O Requests\n  Recommendation: aggregate.\n";
         let mut first_wins = 0;
         for salt in 0..30 {
-            let outp = rank(p, &lines(prompt), &mut rng_for("llama-3-70b", prompt, salt));
+            let outp = rank(
+                p,
+                &lines(prompt),
+                &mut rng_for("llama-3-70b", stable_hash(prompt), salt),
+            );
             if outp.contains("RANKING: Tool-1 > Tool-2") {
                 first_wins += 1;
             }
@@ -816,8 +887,91 @@ mod tests {
             "### TASK: chat\n## CONTEXT\nIssue: Server Load Imbalance\n  Reference: [Striping Decisions, SC 2021]\n\
              EVIDENCE nprocs=16\nEVIDENCE dominant_transfer=4194304\n## QUESTION\nHow do I fix the stripe settings?",
         );
-        let outp = chat(p, &l, &mut rng_for("gpt-4o", "q", 0));
+        let outp = chat(p, &l, &mut rng_for("gpt-4o", stable_hash("q"), 0));
         assert!(outp.contains("lfs setstripe -S 4M"), "{outp}");
         assert!(outp.contains("Reference: [Striping Decisions, SC 2021]"));
+    }
+
+    /// The set-of-strings definition [`overlap`] must reproduce bit for
+    /// bit: lower-case the whole text, split on every char that is not
+    /// ASCII alphanumeric, keep tokens longer than two bytes.
+    fn overlap_oracle(a: &str, b: &str) -> f64 {
+        use std::collections::BTreeSet;
+        let tokens = |s: &str| -> BTreeSet<String> {
+            s.to_lowercase()
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|t| t.len() > 2)
+                .map(String::from)
+                .collect()
+        };
+        let (ta, tb) = (tokens(a), tokens(b));
+        if ta.is_empty() || tb.is_empty() {
+            return 0.0;
+        }
+        let inter = ta.intersection(&tb).count() as f64;
+        inter / ((ta.len() as f64).sqrt() * (tb.len() as f64).sqrt())
+    }
+
+    /// `overlap` over lines against the oracle over the lines joined by a
+    /// space, compared as bits.
+    fn assert_overlap_exact(a: &[&str], b: &[&str]) {
+        let got = overlap(a, b);
+        let want = overlap_oracle(&a.join(" "), &b.join(" "));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{a:?} vs {b:?}: {got} != {want}"
+        );
+    }
+
+    #[test]
+    fn overlap_matches_the_oracle_on_edge_cases() {
+        let cases: &[(&[&str], &[&str])] = &[
+            (&[], &[]),
+            (&[""], &["abc"]),
+            (&["ab a b"], &["ab a b"]),
+            (&["abc abc abc"], &["abc"]),
+            (&["abcd ABCD AbCd"], &["abcd", "xyz"]),
+            // Kelvin sign and dotted capital I lower-case to ASCII.
+            (&["\u{212A}ernel"], &["kernel"]),
+            (&["\u{0130}NDEX"], &["index"]),
+            (&["\u{0130}ndex \u{212A}ey"], &["i\u{0307}ndex key"]),
+            (&["Σίσυφος stripe ΣΑΣ"], &["stripe σας"]),
+            (&["strip\u{00e9}d width"], &["strip width"]),
+            (&["line one", "two"], &["one two three"]),
+            (&["ſOURCE source"], &["source"]),
+        ];
+        for (a, b) in cases {
+            assert_overlap_exact(a, b);
+            assert_overlap_exact(b, a);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn overlap_is_the_oracle_bit_for_bit(
+            a in proptest::collection::vec("[abcK\u{212A}\u{0130}\u{03A3}\u{00e9} .,_]{0,24}", 0..5),
+            b in proptest::collection::vec("[abcKk\u{212A}\u{0130}i \u{0307}.]{0,24}", 0..5),
+        ) {
+            let a: Vec<&str> = a.iter().map(String::as_str).collect();
+            let b: Vec<&str> = b.iter().map(String::as_str).collect();
+            assert_overlap_exact(&a, &b);
+            assert_overlap_exact(&a, &a);
+        }
+    }
+
+    #[test]
+    fn headers_match_ignoring_case_including_non_ascii() {
+        assert!(header_is("SOURCE", "SOURCE"));
+        assert!(header_is("source 3", "SOURCE"));
+        assert!(header_is("\u{017F}OURCE", "SOURCE"));
+        assert!(header_is("Ground Truth", "GROUND TRUTH"));
+        assert!(!header_is("SOUR", "SOURCE"));
+        assert!(!header_is("FRAGMENT", "SOURCE"));
+        assert!(!header_is("\u{00e9}SOURCE", "SOURCE"));
+        let l = lines("### TASK: filter\n## \u{017F}ource\nabc def\n## fragment\nabc");
+        let s = parse_sections(&l);
+        assert_eq!(section(&s, "SOURCE").unwrap().body, vec!["abc def"]);
+        assert_eq!(section(&s, "FRAGMENT").unwrap().body, vec!["abc"]);
     }
 }
