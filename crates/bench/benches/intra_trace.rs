@@ -6,10 +6,12 @@
 //! - **fragment diagnosis**: the full `IoAgent::diagnose` pipeline over the
 //!   suite's most fragment-rich trace, with the backbone model charging a
 //!   simulated 10 ms remote round trip per completion (the regime a
-//!   deployed agent runs in — see `SimLlm::with_latency`). Per-fragment NL
-//!   transformation + grounded diagnosis overlap across shim threads, so
-//!   this arm scales with the pool width on any machine, single-core CI
-//!   containers included.
+//!   deployed agent runs in — see `SimLlm::with_latency`). The width-1 arm
+//!   already overlaps the 10 ms calls: each stage's calls (every
+//!   fragment's transform, every diagnosis, every merge of a tree level)
+//!   are one `complete_all` wave on the calling thread. Extra shim threads
+//!   only split the CPU work between waves, so the speedup this arm prints
+//!   is close to 1× on any machine.
 //! - **batch search**: `VectorIndex::search_batch` over the knowledge-size
 //!   index — pure local compute, so its scaling reflects physical cores
 //!   (reported for reference; on a 1-core host both widths are equivalent

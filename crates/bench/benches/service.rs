@@ -7,11 +7,12 @@
 //! - **cpu**: raw local compute. Scales with physical cores (on a 1-core
 //!   container both widths are equivalent by construction).
 //! - **rpc**: each backbone LLM call additionally pays a simulated
-//!   0.5 ms remote round trip (a flat `LatencyProfile`, ~18 ms over the
-//!   ~36 backbone calls of a job) — the regime a deployed service
-//!   actually runs in, where worker concurrency hides latency rather than
+//!   0.5 ms remote round trip (a flat `LatencyProfile`). A job's ~36
+//!   backbone calls go out in ~5 waves whose calls overlap, so a job
+//!   waits ~2.5 ms on the model — the regime a deployed service actually
+//!   runs in, where worker concurrency hides latency rather than
 //!   splitting compute. This arm scales with the worker count on any
-//!   machine.
+//!   machine, by less than it did when each call waited on its own.
 //!
 //! All service instances share one pre-built knowledge index so the
 //! comparison isolates diagnosis throughput from index construction; the
@@ -97,9 +98,10 @@ fn bench_service(c: &mut Criterion) {
     // Combined grain: half the workers, each running its jobs over a
     // 2-thread intra-job shim pool — the same workers × intra-threads
     // budget as the plain rpc_N arm, but split across both grains. Shows
-    // the thread-budget interaction (README "Parallelism model"): the
-    // latency is per backbone call, so the intra-job threads hide some of
-    // it inside each job while half as many jobs run at once.
+    // the thread-budget interaction (README "Parallelism model"): a job's
+    // calls already overlap wave by wave on its worker thread, so the
+    // intra-job threads only split its CPU work while half as many jobs
+    // run at once.
     let combined_workers = (n_workers / 2).max(1);
     let combined = DiagnosisService::with_shared_index(
         ServiceConfig::with_workers(combined_workers)

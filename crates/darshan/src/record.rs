@@ -82,16 +82,6 @@ impl Record {
         self.fcounters.insert(name.to_string(), value);
     }
 
-    /// Add to an integer counter (creating it at 0 if absent).
-    pub fn add_ic(&mut self, name: &str, delta: i64) {
-        *self.icounters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Add to a floating-point counter (creating it at 0.0 if absent).
-    pub fn add_fc(&mut self, name: &str, delta: f64) {
-        *self.fcounters.entry(name.to_string()).or_insert(0.0) += delta;
-    }
-
     /// Whether this record is shared across ranks.
     pub fn is_shared(&self) -> bool {
         self.rank < 0
@@ -105,16 +95,6 @@ impl Record {
     /// Whether the record carries no counters at all.
     pub fn is_empty(&self) -> bool {
         self.icounters.is_empty() && self.fcounters.is_empty()
-    }
-
-    /// Sum of a family of integer counters sharing a prefix, e.g. the ten
-    /// size-histogram bins `POSIX_SIZE_READ_*`.
-    pub fn ic_prefix_sum(&self, prefix: &str) -> i64 {
-        self.icounters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
-            .sum()
     }
 }
 
@@ -152,29 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn add_accumulates() {
-        let mut r = Record::new(Module::Stdio, 2, 7, "/y");
-        r.add_ic("STDIO_WRITES", 5);
-        r.add_ic("STDIO_WRITES", 7);
-        r.add_fc("STDIO_F_WRITE_TIME", 0.5);
-        r.add_fc("STDIO_F_WRITE_TIME", 0.25);
-        assert_eq!(r.ic("STDIO_WRITES"), 12);
-        assert!((r.fc("STDIO_F_WRITE_TIME") - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn shared_flag() {
         assert!(sample().is_shared());
         assert!(!Record::new(Module::Posix, 0, 1, "/x").is_shared());
-    }
-
-    #[test]
-    fn prefix_sum_sums_histogram() {
-        let mut r = Record::new(Module::Posix, -1, 1, "/x");
-        r.set_ic("POSIX_SIZE_READ_0_100", 5);
-        r.set_ic("POSIX_SIZE_READ_100_1K", 7);
-        r.set_ic("POSIX_SIZE_WRITE_0_100", 100); // different family
-        assert_eq!(r.ic_prefix_sum("POSIX_SIZE_READ_"), 12);
     }
 
     #[test]

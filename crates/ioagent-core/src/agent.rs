@@ -1,14 +1,15 @@
 //! The IOAgent pipeline.
 
-use crate::merge::{merge_blocks, MergeStrategy, SummaryBlock};
+use crate::merge::{merge_in_waves, MergeStrategy, SummaryBlock};
 use crate::rag::Retriever;
 use crate::session::AgentSession;
 use crate::transform;
 use darshan::DarshanTrace;
 use preprocessor::SummaryFragment;
 use rayon::prelude::*;
-use simllm::{CompletionRequest, Diagnosis, LanguageModel, SimLlm};
+use simllm::{Completion, CompletionRequest, Diagnosis, LanguageModel, SimLlm};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tracebench::IssueLabel;
 
@@ -46,11 +47,20 @@ impl Default for AgentConfig {
 /// service (`ioagentd`) can build the vector index once and share it across
 /// many concurrent agents; per-job state (the backbone model reference and
 /// the reflection model with its usage accounting) stays per-agent.
+///
+/// A diagnosis issues its backbone calls in *waves*, one
+/// [`LanguageModel::complete_all`] batch per pipeline stage: every
+/// fragment's transform, then every fragment's diagnosis, then one wave
+/// per tree-merge level. A model with remote latency keeps a wave's calls
+/// in flight together, so a job waits on a handful of round trips instead
+/// of one per call.
 pub struct IoAgent<'m> {
     model: &'m dyn LanguageModel,
     reflection: SimLlm,
     retriever: Arc<Retriever>,
     config: AgentConfig,
+    /// Backbone waves issued so far.
+    waves: AtomicUsize,
 }
 
 impl<'m> IoAgent<'m> {
@@ -79,6 +89,7 @@ impl<'m> IoAgent<'m> {
             reflection: SimLlm::new(&config.reflection_model),
             retriever,
             config,
+            waves: AtomicUsize::new(0),
         }
     }
 
@@ -94,6 +105,13 @@ impl<'m> IoAgent<'m> {
         self.reflection.usage()
     }
 
+    /// Backbone waves (batches of concurrent LLM calls) this agent's
+    /// diagnoses have issued so far: the depth of their critical path in
+    /// model round trips.
+    pub fn llm_waves(&self) -> usize {
+        self.waves.load(Ordering::Relaxed)
+    }
+
     /// Tool name used in reports and the evaluation.
     pub fn tool_name(&self) -> String {
         format!("ioagent-{}", self.model.name())
@@ -104,43 +122,43 @@ impl<'m> IoAgent<'m> {
         let tracer = ioobserve::tracer();
         let metrics = ioobserve::metrics();
 
-        // Stage 1: module-based pre-processing.
+        // Stage 1: module-based pre-processing. Each stage records its
+        // histogram inside its own span, so the bookkeeping (a windowed
+        // histogram allocates its slices on first use, and resets one
+        // whenever a new slice starts) counts toward the stage instead
+        // of leaving a gap in the job's span decomposition.
         let preprocess_start = std::time::Instant::now();
         let fragments = {
             let mut span = tracer.span("stage.preprocess");
             let fragments = preprocessor::extract_fragments(trace);
             span.set_attr("fragments", fragments.len());
+            metrics
+                .histogram("stage.preprocess_ns")
+                .record_duration(preprocess_start.elapsed());
             fragments
         };
-        metrics
-            .histogram("stage.preprocess_ns")
-            .record_duration(preprocess_start.elapsed());
 
-        // Stage 2: per-fragment knowledge integration + diagnosis, parallel
-        // across fragments (each fragment's retrieval reflection is itself
-        // parallel inside the retriever, drawing on the same pool budget).
-        // Blocks come back in fragment order, so the merged report is
-        // byte-identical at any thread count. One coarse `stage.fragments`
-        // span tiles the whole fan-out; per-fragment spans are fine detail
-        // and take their parent explicitly, because the closures may run
-        // on pool worker threads whose span stacks are empty.
+        // Stage 2: per-fragment knowledge integration + diagnosis. One
+        // coarse `stage.fragments` span tiles the whole fan-out.
         let fragments_span = tracer.span("stage.fragments");
-        let fragments_parent = fragments_span.id();
-        let blocks: Vec<SummaryBlock> = fragments
-            .par_iter()
-            .map(|fragment| self.diagnose_fragment(fragment, fragments_parent))
-            .collect();
+        let blocks = self.diagnose_fragments(&fragments, fragments_span.id());
+        // Free the fragments inside the stage that used them, not in the
+        // unattributed tail of the job after rendering.
+        drop(fragments);
         drop(fragments_span);
 
-        // Stage 3: tree-based merge.
+        // Stage 3: tree-based merge, one wave per level.
         let merge_start = std::time::Instant::now();
         let merged = {
             let _span = tracer.span("stage.merge");
-            merge_blocks(self.model, blocks, self.config.merge)
+            let merged = merge_in_waves(blocks, self.config.merge, |requests| {
+                self.wave("merge", requests)
+            });
+            metrics
+                .histogram("stage.merge_ns")
+                .record_duration(merge_start.elapsed());
+            merged
         };
-        metrics
-            .histogram("stage.merge_ns")
-            .record_duration(merge_start.elapsed());
 
         // Final report rendering.
         let _render_span = tracer.span("stage.render");
@@ -153,49 +171,68 @@ impl<'m> IoAgent<'m> {
         }
     }
 
-    /// Diagnose a single fragment into a mergeable summary block.
-    /// `parent` is the span id of the enclosing fan-out (0 when tracing
-    /// is disabled), threaded explicitly because this may run on a pool
-    /// worker thread with no span context of its own.
-    fn diagnose_fragment(&self, fragment: &SummaryFragment, parent: u64) -> SummaryBlock {
+    /// Diagnose every fragment into a mergeable summary block, in fragment
+    /// order: a wave of NL transforms (the RAG queries), then retrieval
+    /// and self-reflection per fragment (CPU work, parallel across the
+    /// shim pool), then a wave of grounded diagnoses. `parent` is the
+    /// span id of the enclosing fan-out (0 when tracing is disabled),
+    /// threaded explicitly because the retrieval closures may run on pool
+    /// worker threads whose span stacks are empty.
+    fn diagnose_fragments(&self, fragments: &[SummaryFragment], parent: u64) -> Vec<SummaryBlock> {
+        // 2a: NL transformation (the RAG query).
+        let queries: Vec<String> = if self.config.nl_transform {
+            let requests: Vec<CompletionRequest> =
+                fragments.iter().map(transform::request).collect();
+            self.wave("transform", &requests)
+                .into_iter()
+                .map(|c| c.text)
+                .collect()
+        } else {
+            fragments.iter().map(SummaryFragment::json_text).collect()
+        };
+
+        // 2b/2c: retrieval + self-reflection filtering, then the grounded
+        // diagnosis prompt.
+        let requests: Vec<CompletionRequest> = fragments
+            .par_iter()
+            .enumerate()
+            .map(|(i, fragment)| self.diagnosis_request(fragment, &queries[i], parent))
+            .collect();
+
+        // 2d: grounded per-fragment diagnosis.
+        self.wave("diagnose", &requests)
+            .iter()
+            .zip(fragments)
+            .map(|(c, f)| SummaryBlock::new(f.title.clone(), response_to_points(&c.text)))
+            .collect()
+    }
+
+    /// Ground one fragment's query in retrieved, reflection-approved
+    /// sources and build its diagnosis request.
+    fn diagnosis_request(
+        &self,
+        fragment: &SummaryFragment,
+        query: &str,
+        parent: u64,
+    ) -> CompletionRequest {
         let tracer = ioobserve::tracer();
-        let metrics = ioobserve::metrics();
         let mut fragment_span = tracer.span_child_fine("stage.fragment", parent);
         fragment_span.set_attr("title", &fragment.title);
-
-        // 2a: NL transformation (the RAG query).
-        let llm_start = std::time::Instant::now();
-        let query = {
-            let mut span = tracer.span_fine("stage.llm");
-            span.set_attr("op", "transform");
-            if self.config.nl_transform {
-                transform::to_natural_language(self.model, fragment)
-            } else {
-                fragment.json_text()
-            }
-        };
-        let transform_elapsed = llm_start.elapsed();
-
-        // 2b/2c: retrieval + self-reflection filtering.
         let retrieve_start = std::time::Instant::now();
         let sources = {
             let mut span = tracer.span_fine("stage.retrieve");
             span.set_attr("top_k", self.config.top_k);
             if self.config.use_rag {
                 self.retriever
-                    .retrieve_k(&query, &self.reflection, self.config.top_k)
+                    .retrieve_k(query, &self.reflection, self.config.top_k)
             } else {
                 Vec::new()
             }
         };
-        metrics
+        ioobserve::metrics()
             .histogram("stage.retrieve_ns")
             .record_duration(retrieve_start.elapsed());
 
-        // 2d: grounded per-fragment diagnosis.
-        let diagnose_start = std::time::Instant::now();
-        let mut span = tracer.span_fine("stage.llm");
-        span.set_attr("op", "diagnose");
         let mut prompt = format!(
             "### TASK: diagnose\nDiagnose I/O issues visible in the {} summary.\n",
             fragment.title
@@ -205,14 +242,27 @@ impl<'m> IoAgent<'m> {
         for s in &sources {
             prompt.push_str(&s.reference_lines());
         }
-        let req = CompletionRequest::new("You are an expert in HPC I/O performance.", prompt);
-        let response = self.model.complete(&req).text;
-        drop(span);
-        let llm_hist = metrics.histogram("stage.llm_ns");
-        llm_hist.record_duration(transform_elapsed);
-        llm_hist.record_duration(diagnose_start.elapsed());
+        CompletionRequest::new("You are an expert in HPC I/O performance.", prompt)
+    }
 
-        SummaryBlock::new(fragment.title.clone(), response_to_points(&response))
+    /// Issue one wave: `requests` to the backbone as one batch, under a
+    /// fine `stage.llm` span carrying the stage (`op`) and the batch size
+    /// (`calls`). An empty wave issues nothing.
+    fn wave(&self, op: &str, requests: &[CompletionRequest]) -> Vec<Completion> {
+        if requests.is_empty() {
+            return Vec::new();
+        }
+        let started = std::time::Instant::now();
+        let mut span = ioobserve::tracer().span_fine("stage.llm");
+        span.set_attr("op", op);
+        span.set_attr("calls", requests.len());
+        let completions = self.model.complete_all(requests);
+        drop(span);
+        ioobserve::metrics()
+            .histogram("stage.llm_ns")
+            .record_duration(started.elapsed());
+        self.waves.fetch_add(1, Ordering::Relaxed);
+        completions
     }
 
     /// Open an interactive session seeded with a diagnosis of the trace.

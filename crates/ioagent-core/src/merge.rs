@@ -1,20 +1,20 @@
 //! Tree-based merge with pairwise LLM merging (paper §IV-C, Fig. 6).
 //!
-//! Per-fragment diagnoses are merged two at a time; merges within a tree
-//! level are independent and run in parallel (pair results are collected
-//! in level order, so the final merge is thread-count invariant). The
-//! alternative — a single
-//! flat merge of all summaries — is implemented too, as the ablation arm
-//! (the paper shows it loses key points and references even on frontier
+//! Per-fragment diagnoses are merged two at a time. The merges of one
+//! tree level are independent, so they go to the model as one batch
+//! ([`LanguageModel::complete_all`]): their calls are in flight together,
+//! and the results come back in pair order, so the final merge does not
+//! depend on thread count or timing. The alternative — a single flat
+//! merge of all summaries — is implemented too, as the ablation arm (the
+//! paper shows it loses key points and references even on frontier
 //! models once more than a couple of summaries are merged at once).
 
-use rayon::prelude::*;
-use simllm::{CompletionRequest, LanguageModel};
+use simllm::{Completion, CompletionRequest, LanguageModel};
 
 /// How to combine per-fragment diagnoses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeStrategy {
-    /// Pairwise tree merge, parallel per level (IOAgent's design).
+    /// Pairwise tree merge, one batch of calls per level (IOAgent's design).
     Tree,
     /// One merge call over all summaries (the ablation baseline).
     Flat,
@@ -69,43 +69,45 @@ pub fn merge_blocks(
     blocks: Vec<SummaryBlock>,
     strategy: MergeStrategy,
 ) -> SummaryBlock {
+    merge_in_waves(blocks, strategy, |requests| model.complete_all(requests))
+}
+
+/// [`merge_blocks`] with each batch of merge calls — the one flat merge,
+/// or every merge of one tree level — issued through `wave`, which
+/// returns the completions in request order.
+pub(crate) fn merge_in_waves(
+    blocks: Vec<SummaryBlock>,
+    strategy: MergeStrategy,
+    mut wave: impl FnMut(&[CompletionRequest]) -> Vec<Completion>,
+) -> SummaryBlock {
     let mut blocks: Vec<SummaryBlock> = blocks.into_iter().filter(|b| !b.is_empty()).collect();
     match blocks.len() {
         0 => return SummaryBlock::new("merged", Vec::new()),
-        1 => return blocks.pop().unwrap(),
+        1 => return blocks.pop().expect("one block"),
         _ => {}
     }
     match strategy {
-        MergeStrategy::Flat => merge_once(model, &blocks),
+        MergeStrategy::Flat => merged_block(&wave(&[merge_request(&blocks)])[0]),
         MergeStrategy::Tree => {
             while blocks.len() > 1 {
-                let mut next: Vec<Option<SummaryBlock>> = Vec::new();
                 // Pair up; an odd trailing block passes through unchanged.
-                let pairs: Vec<(usize, &[SummaryBlock])> = blocks.chunks(2).enumerate().collect();
-                let merged: Vec<(usize, SummaryBlock)> = pairs
-                    .par_iter()
-                    .map(|(i, chunk)| {
-                        let block = if chunk.len() == 2 {
-                            merge_once(model, chunk)
-                        } else {
-                            chunk[0].clone()
-                        };
-                        (*i, block)
-                    })
+                let requests: Vec<CompletionRequest> =
+                    blocks.chunks_exact(2).map(merge_request).collect();
+                let odd = (blocks.len() % 2 == 1)
+                    .then(|| blocks.pop().expect("an odd count has a trailing block"));
+                blocks = wave(&requests)
+                    .iter()
+                    .map(merged_block)
+                    .chain(odd)
                     .collect();
-                next.resize(merged.len(), None);
-                for (i, b) in merged {
-                    next[i] = Some(b);
-                }
-                blocks = next.into_iter().flatten().collect();
             }
-            blocks.pop().unwrap()
+            blocks.pop().expect("merging stops at one block")
         }
     }
 }
 
-/// One LLM merge call over `blocks`.
-fn merge_once(model: &dyn LanguageModel, blocks: &[SummaryBlock]) -> SummaryBlock {
+/// The LLM merge request over `blocks`.
+fn merge_request(blocks: &[SummaryBlock]) -> CompletionRequest {
     let mut prompt = String::from(
         "### TASK: merge\nMerge the following diagnosis summaries into one, removing \
          redundancy, resolving contradictions, and keeping every distinct key point with \
@@ -114,8 +116,11 @@ fn merge_once(model: &dyn LanguageModel, blocks: &[SummaryBlock]) -> SummaryBloc
     for (i, b) in blocks.iter().enumerate() {
         prompt.push_str(&b.render(i + 1));
     }
-    let req = CompletionRequest::new("You merge I/O diagnosis summaries faithfully.", prompt);
-    let completion = model.complete(&req);
+    CompletionRequest::new("You merge I/O diagnosis summaries faithfully.", prompt)
+}
+
+/// The block a merge completion describes.
+fn merged_block(completion: &Completion) -> SummaryBlock {
     SummaryBlock::new("merged", parse_points(&completion.text))
 }
 

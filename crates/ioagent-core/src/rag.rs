@@ -4,10 +4,11 @@
 //! 512, overlap 20 — the paper's LlamaIndex defaults), retrieves the top 15
 //! chunks for each fragment's natural-language description, and filters the
 //! hits with a cheaper *self-reflection* model run in parallel, "ruling out
-//! nearly half of the retrieved sources" before diagnosis.
+//! nearly half of the retrieved sources" before diagnosis. The reflection
+//! prompts of one retrieval go to the model as one batch
+//! ([`LanguageModel::complete_all`]), so they are in flight together.
 
 use ioembed::Embedder;
-use rayon::prelude::*;
 use simllm::{CompletionRequest, LanguageModel};
 use vecindex::{VectorIndex, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP};
 
@@ -124,8 +125,9 @@ impl Retriever {
 
     /// Retrieve top-`self.top_k` sources for a query, then self-reflect
     /// with the given (cheaper) model to drop irrelevant hits. Reflection
-    /// calls run in parallel, as in the paper; verdicts are collected in
-    /// hit order, so the kept set is identical at any thread count.
+    /// calls go out as one batch, in parallel as in the paper; verdicts
+    /// come back in hit order, so the kept set is identical at any thread
+    /// count.
     pub fn retrieve(
         &self,
         query: &str,
@@ -143,29 +145,28 @@ impl Retriever {
         k: usize,
     ) -> Vec<GroundedSource> {
         let hits = self.index.search(query, k);
-        let verdicts: Vec<(usize, bool)> = hits
-            .par_iter()
+        let requests: Vec<CompletionRequest> = hits
+            .iter()
             .map(|hit| {
                 let entry = self.index.entry(hit.entry_idx);
                 let prompt = format!(
                     "### TASK: filter\n## FRAGMENT\n{query}\n## SOURCE\n{}\n",
                     entry.text
                 );
-                let req = CompletionRequest::new(
+                CompletionRequest::new(
                     "Decide whether the source is relevant to the fragment.",
                     prompt,
-                );
-                let verdict = reflection_model.complete(&req);
-                (hit.entry_idx, verdict.text.starts_with("RELEVANT"))
+                )
             })
             .collect();
+        let verdicts = reflection_model.complete_all(&requests);
 
         let mut out: Vec<GroundedSource> = Vec::new();
-        for (hit, (entry_idx, relevant)) in hits.iter().zip(verdicts) {
-            if !relevant {
+        for (hit, verdict) in hits.iter().zip(&verdicts) {
+            if !verdict.text.starts_with("RELEVANT") {
                 continue;
             }
-            let entry = self.index.entry(entry_idx);
+            let entry = self.index.entry(hit.entry_idx);
             if out.iter().any(|s| s.doc_id.as_str() == &*entry.doc_id) {
                 continue; // one citation per document
             }

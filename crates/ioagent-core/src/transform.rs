@@ -30,13 +30,17 @@ pub fn prompt(fragment: &SummaryFragment) -> String {
     )
 }
 
-/// Transform a fragment into its natural-language description.
-pub fn to_natural_language(model: &dyn LanguageModel, fragment: &SummaryFragment) -> String {
-    let req = CompletionRequest::new(
+/// The transformation request for a fragment.
+pub fn request(fragment: &SummaryFragment) -> CompletionRequest {
+    CompletionRequest::new(
         "You translate structured I/O telemetry into precise natural language.",
         prompt(fragment),
-    );
-    model.complete(&req).text
+    )
+}
+
+/// Transform a fragment into its natural-language description.
+pub fn to_natural_language(model: &dyn LanguageModel, fragment: &SummaryFragment) -> String {
+    model.complete(&request(fragment)).text
 }
 
 #[cfg(test)]

@@ -65,6 +65,8 @@ pub enum ErrorKind {
     DeadlineExceeded,
     /// Every allowed LLM delivery attempt faulted.
     RetriesExhausted,
+    /// The job panicked while executing; the service kept running.
+    Internal,
 }
 
 impl ErrorKind {
@@ -81,6 +83,7 @@ impl ErrorKind {
             ErrorKind::LlmTruncated => "llm_truncated",
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
             ErrorKind::RetriesExhausted => "retries_exhausted",
+            ErrorKind::Internal => "internal",
         }
     }
 }
@@ -97,6 +100,7 @@ impl From<&JobFailure> for ErrorKind {
                 simllm::FaultKind::RateLimited => ErrorKind::LlmRateLimited,
                 simllm::FaultKind::Truncated => ErrorKind::LlmTruncated,
             },
+            JobFailure::Internal => ErrorKind::Internal,
         }
     }
 }
@@ -870,8 +874,8 @@ mod tests {
             render_error("j3", (&down).into(), &down.to_string()),
             r#"{"error":"service is shutting down","error_kind":"shutdown","id":"j3"}"#
         );
-        // Resilience-layer failures reuse the same reply shape. Each of
-        // the five kinds is pinned byte-for-byte.
+        // Job failures reuse the same reply shape. Each of the six kinds
+        // is pinned byte-for-byte.
         let shed = JobFailure::DeadlineExceededQueued;
         assert_eq!(
             render_error("j4", (&shed).into(), &shed.message()),
@@ -903,6 +907,11 @@ mod tests {
                 )
             );
         }
+        let panicked = JobFailure::Internal;
+        assert_eq!(
+            render_error("j8", (&panicked).into(), &panicked.message()),
+            r#"{"error":"internal error: the job panicked","error_kind":"internal","id":"j8"}"#
+        );
     }
 
     #[test]

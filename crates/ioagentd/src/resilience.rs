@@ -9,8 +9,15 @@
 //! thread. The simulator generates a request's content once
 //! ([`SimLlm::prepare`]) and draws each attempt's latency and fault the
 //! moment it launches, so an in-flight attempt is a value with a known
-//! finish time. Each round sleeps until the earliest of an attempt's
-//! finish, the hedge launch, or the deadline, then handles that event.
+//! finish time. [`LanguageModel::complete_all`] hands the loop a whole
+//! pipeline stage at once (every fragment's transform, every diagnosis,
+//! every merge of one tree level), and all of its calls are in flight
+//! together: each call keeps its own retry round, hedge timer and
+//! backoff timer, and each turn of the loop sleeps until the earliest
+//! event of any call — an attempt's finish, a hedge launch, the end of a
+//! backoff — or the deadline, then handles that one event. A stage
+//! therefore waits about as long as its slowest call, not the sum of its
+//! calls. [`LanguageModel::complete`] is a batch of one.
 //!
 //! - **Bounded retries**: an injected fault triggers up to
 //!   [`ResiliencePolicy::max_retries`] re-deliveries with deterministic
@@ -25,11 +32,12 @@
 //!   Because content draws are keyed by (model, prompt, salt) — never by
 //!   attempt or timing — the delivered completion is byte-identical
 //!   whichever lane wins, and usage is charged once per completion.
-//! - **Deadlines**: an absolute per-job deadline caps the whole loop.
-//!   On expiry every in-flight attempt is dropped and the job fails with
-//!   `deadline_exceeded`.
+//! - **Deadlines**: an absolute per-job deadline, shared by every call
+//!   of every batch, caps the whole loop. On expiry every in-flight
+//!   attempt is dropped and the job fails with `deadline_exceeded`.
 //!
-//! The first failure latches: subsequent completions on the same job
+//! The first failure of any call latches: every in-flight attempt of the
+//! batch is dropped unbilled, subsequent completions on the same job
 //! fail fast with an empty completion, so a doomed job stops burning
 //! simulated spend, and the worker reports one [`JobFailure`] for the
 //! whole job.
@@ -146,6 +154,9 @@ pub enum JobFailure {
     },
     /// A fault with retries disabled (`max_retries == 0`).
     Fault(FaultKind),
+    /// The job panicked while executing. The worker caught the panic and
+    /// keeps serving.
+    Internal,
 }
 
 impl JobFailure {
@@ -157,6 +168,7 @@ impl JobFailure {
             }
             JobFailure::RetriesExhausted { .. } => "retries_exhausted",
             JobFailure::Fault(kind) => kind.as_str(),
+            JobFailure::Internal => "internal",
         }
     }
 
@@ -176,6 +188,7 @@ impl JobFailure {
             JobFailure::Fault(kind) => {
                 format!("llm fault with retries disabled: {}", kind.as_str())
             }
+            JobFailure::Internal => "internal error: the job panicked".to_string(),
         }
     }
 }
@@ -226,11 +239,74 @@ impl ResilienceCounters {
     }
 }
 
-/// One race round's outcome.
-enum RoundOutcome {
-    Won(Completion),
-    Fault(AttemptFault),
-    Deadline,
+/// Where one call of the event loop stands.
+enum Phase {
+    /// Backing off; the call's next round launches at this instant.
+    Backoff(Instant),
+    /// A round in flight (its attempts are in [`Call::in_flight`]); the
+    /// hedge launches at `hedge_at` unless it already has.
+    Racing {
+        hedge_at: Option<Instant>,
+        primary_finish: Instant,
+    },
+    /// Delivered and billed.
+    Delivered(Completion),
+}
+
+/// One call of a [`ResilientLlm::complete_all`] batch. Each keeps its own
+/// retry round, hedge timer and backoff timer.
+struct Call<'a> {
+    prepared: Prepared<'a>,
+    round: u32,
+    /// Delivery attempts launched so far, hedges included.
+    attempts: u32,
+    /// The current round's primary (slot 0) and hedge (slot 1) attempts;
+    /// both empty unless racing.
+    in_flight: [Option<Attempt>; 2],
+    phase: Phase,
+}
+
+/// What happens when a call's next timer fires.
+#[derive(Clone, Copy)]
+enum Event {
+    /// The backoff ended: launch the next round.
+    Launch,
+    /// The hedge delay passed with the primary still in flight.
+    Hedge,
+    /// The attempt in this slot finishes.
+    Resolve(usize),
+}
+
+impl Call<'_> {
+    /// The call's next event, ties going to the primary attempt: an
+    /// attempt's finish beats a hedge launch due at the same instant.
+    fn next_event(&self) -> Option<(Instant, Event)> {
+        match &self.phase {
+            Phase::Backoff(at) => Some((*at, Event::Launch)),
+            Phase::Racing { hedge_at, .. } => {
+                let (finish, slot) = self
+                    .in_flight
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, a)| a.as_ref().map(|a| (a.finish, i)))
+                    .min()
+                    .expect("a round always has an attempt in flight");
+                Some(match hedge_at.filter(|&at| at < finish) {
+                    Some(at) => (at, Event::Hedge),
+                    None => (finish, Event::Resolve(slot)),
+                })
+            }
+            Phase::Delivered(_) => None,
+        }
+    }
+
+    /// Drop the call's in-flight attempts unbilled.
+    fn abandon(&mut self) {
+        self.in_flight
+            .iter_mut()
+            .filter_map(Option::take)
+            .for_each(Attempt::abandon);
+    }
 }
 
 /// A [`LanguageModel`] that delivers its inner [`SimLlm`]'s completions
@@ -329,122 +405,169 @@ impl ResilientLlm {
         Duration::from_nanos(rng.gen_range(base..=hi))
     }
 
-    /// Run one retry round: the primary attempt on lane `round` and —
-    /// once the hedge delay passes with the primary still in flight — a
-    /// duplicate on the hedge lane. Sleeps to each event in time order
-    /// (ties go to the primary). The first success wins and is billed;
-    /// the other attempt is dropped. `attempts` counts every launched
-    /// delivery attempt.
-    fn race(&self, prepared: &Prepared, round: u32, attempts: &mut u32) -> RoundOutcome {
-        *attempts += 1;
-        let primary = prepared.launch(round);
-        let primary_finish = primary.finish;
-        let mut hedge_at = self.hedge_delay().map(|d| Instant::now() + d);
-        let mut in_flight: [Option<Attempt>; 2] = [Some(primary), None];
-        loop {
-            let (finish, lane) = in_flight
-                .iter()
-                .enumerate()
-                .filter_map(|(i, a)| a.as_ref().map(|a| (a.finish, i)))
-                .min()
-                .expect("a round always has an attempt in flight");
-            let hedge_due = hedge_at.filter(|&at| at < finish);
-            let next = hedge_due.unwrap_or(finish);
-            if let Some(deadline) = self.deadline.filter(|&d| d < next) {
-                sleep_until(deadline);
-                in_flight.into_iter().flatten().for_each(Attempt::abandon);
-                return RoundOutcome::Deadline;
+    /// Launch `call`'s current round: its primary attempt now, and its
+    /// hedge timer when hedging is on.
+    fn launch_round(&self, call: &mut Call) {
+        call.attempts += 1;
+        let primary = call.prepared.launch(call.round);
+        call.phase = Phase::Racing {
+            primary_finish: primary.finish,
+            hedge_at: self.hedge_delay().map(|d| Instant::now() + d),
+        };
+        call.in_flight = [Some(primary), None];
+    }
+
+    /// Every launched attempt of `call`'s round faulted: fail the job
+    /// when the retry budget is spent, else back off before the next
+    /// round (at least the fault's rate-limit hint, at most until the
+    /// deadline).
+    fn next_round(&self, call: &mut Call, fault: AttemptFault) -> Result<(), JobFailure> {
+        match self.policy.max_retries {
+            Some(0) => return Err(JobFailure::Fault(fault.kind)),
+            Some(max) if call.round >= max => {
+                return Err(JobFailure::RetriesExhausted {
+                    attempts: call.attempts,
+                    last: fault.kind,
+                })
             }
-            sleep_until(next);
-            if hedge_due.is_some() {
-                hedge_at = None;
-                self.counters.hedges.inc();
-                *attempts += 1;
-                in_flight[1] = Some(prepared.launch(HEDGE_LANE | (round & !HEDGE_LANE)));
-                continue;
+            _ => {}
+        }
+        call.round += 1;
+        self.counters.retries.inc();
+        let mut wait = self.backoff(&call.prepared, call.round);
+        if let Some(hint) = fault.retry_after {
+            wait = wait.max(hint);
+        }
+        if let Some(remaining) = self.remaining() {
+            if remaining.is_zero() {
+                return Err(JobFailure::DeadlineExceeded);
             }
-            let attempt = in_flight[lane]
-                .take()
-                .expect("picked from the in-flight set");
-            let latency = attempt.draw.latency;
-            match prepared.resolve(attempt) {
-                Ok(completion) => {
-                    self.counters.attempt_ns.record_duration(latency);
-                    if lane == 1 {
-                        self.counters.hedge_wins.inc();
-                        ioobserve::metrics()
-                            .histogram("hedge.win_margin_ns")
-                            .record_duration(primary_finish.saturating_duration_since(finish));
-                    }
-                    in_flight.into_iter().flatten().for_each(Attempt::abandon);
-                    return RoundOutcome::Won(completion);
+            wait = wait.min(remaining);
+        }
+        call.phase = Phase::Backoff(Instant::now() + wait);
+        Ok(())
+    }
+
+    /// Handle `call`'s due `event`. The first success of a round wins
+    /// and is billed; its rival is dropped unbilled.
+    fn handle(&self, call: &mut Call, event: Event) -> Result<(), JobFailure> {
+        let slot = match event {
+            Event::Launch => {
+                if self.remaining().is_some_and(|r| r.is_zero()) {
+                    return Err(JobFailure::DeadlineExceeded);
                 }
-                Err(fault) => {
-                    self.counters.fault(fault.kind).inc();
-                    // Every launched attempt faulted: hand the round back
-                    // to the retry loop rather than waiting out a
-                    // not-yet-launched hedge.
-                    if in_flight.iter().all(Option::is_none) {
-                        return RoundOutcome::Fault(fault);
-                    }
+                self.launch_round(call);
+                return Ok(());
+            }
+            Event::Hedge => {
+                let hedge = call
+                    .prepared
+                    .launch(HEDGE_LANE | (call.round & !HEDGE_LANE));
+                self.counters.hedges.inc();
+                call.attempts += 1;
+                if let Phase::Racing { hedge_at, .. } = &mut call.phase {
+                    *hedge_at = None;
+                }
+                call.in_flight[1] = Some(hedge);
+                return Ok(());
+            }
+            Event::Resolve(slot) => slot,
+        };
+        let Phase::Racing { primary_finish, .. } = call.phase else {
+            unreachable!("only a racing call resolves attempts");
+        };
+        let attempt = call.in_flight[slot]
+            .take()
+            .expect("picked from the in-flight set");
+        let (latency, finish) = (attempt.draw.latency, attempt.finish);
+        match call.prepared.resolve(attempt) {
+            Ok(completion) => {
+                self.counters.attempt_ns.record_duration(latency);
+                if slot == 1 {
+                    self.counters.hedge_wins.inc();
+                    ioobserve::metrics()
+                        .histogram("hedge.win_margin_ns")
+                        .record_duration(primary_finish.saturating_duration_since(finish));
+                }
+                call.abandon();
+                ioobserve::metrics()
+                    .histogram("llm.attempts")
+                    .record(u64::from(call.attempts));
+                call.phase = Phase::Delivered(completion);
+                Ok(())
+            }
+            Err(fault) => {
+                self.counters.fault(fault.kind).inc();
+                // Every launched attempt faulted: end the round rather
+                // than wait out a not-yet-launched hedge.
+                if call.in_flight.iter().all(Option::is_none) {
+                    self.next_round(call, fault)
+                } else {
+                    Ok(())
                 }
             }
         }
     }
 
-    /// The full resilience loop for one completion. The content is
-    /// generated once and shared by every round and lane.
-    fn complete_resilient(&self, request: &CompletionRequest) -> Result<Completion, JobFailure> {
+    /// The event loop over a batch of calls. Every content is generated
+    /// up front and shared by all of its call's rounds and lanes; every
+    /// call launches its first round at once. Each turn sleeps to the
+    /// earliest event of any call — an attempt's finish, a hedge launch,
+    /// the end of a backoff — or to the deadline, whichever comes first,
+    /// and handles it (ties go to the earlier call). The first failure
+    /// drops every in-flight attempt of every call unbilled.
+    fn deliver_all(&self, requests: &[CompletionRequest]) -> Result<Vec<Completion>, JobFailure> {
+        if requests.is_empty() {
+            return Ok(Vec::new());
+        }
         if self.remaining().is_some_and(|r| r.is_zero()) {
             return Err(JobFailure::DeadlineExceeded);
         }
-        let prepared = self.inner.prepare(request);
-        let mut round = 0u32;
-        let mut attempts = 0u32;
-        let mut retry_hint: Option<Duration> = None;
+        let mut calls: Vec<Call> = self
+            .inner
+            .prepare_all(requests)
+            .into_iter()
+            .map(|prepared| {
+                let mut call = Call {
+                    prepared,
+                    round: 0,
+                    attempts: 0,
+                    in_flight: [None, None],
+                    phase: Phase::Backoff(Instant::now()),
+                };
+                self.launch_round(&mut call);
+                call
+            })
+            .collect();
         loop {
-            if round > 0 {
-                self.counters.retries.inc();
-                let mut wait = self.backoff(&prepared, round);
-                if let Some(hint) = retry_hint.take() {
-                    wait = wait.max(hint);
+            let next = calls
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| c.next_event().map(|(at, event)| (at, i, event)))
+                .min_by_key(|&(at, i, _)| (at, i));
+            let Some((at, i, event)) = next else { break };
+            let outcome = match self.deadline.filter(|&d| d < at) {
+                Some(deadline) => {
+                    sleep_until(deadline);
+                    Err(JobFailure::DeadlineExceeded)
                 }
-                if let Some(remaining) = self.remaining() {
-                    if remaining.is_zero() {
-                        return Err(JobFailure::DeadlineExceeded);
-                    }
-                    wait = wait.min(remaining);
+                None => {
+                    sleep_until(at);
+                    self.handle(&mut calls[i], event)
                 }
-                if !wait.is_zero() {
-                    std::thread::sleep(wait);
-                }
-                if self.remaining().is_some_and(|r| r.is_zero()) {
-                    return Err(JobFailure::DeadlineExceeded);
-                }
-            }
-            match self.race(&prepared, round, &mut attempts) {
-                RoundOutcome::Won(completion) => {
-                    ioobserve::metrics()
-                        .histogram("llm.attempts")
-                        .record(attempts as u64);
-                    return Ok(completion);
-                }
-                RoundOutcome::Fault(fault) => match self.policy.max_retries {
-                    Some(0) => return Err(JobFailure::Fault(fault.kind)),
-                    Some(max) if round >= max => {
-                        return Err(JobFailure::RetriesExhausted {
-                            attempts,
-                            last: fault.kind,
-                        })
-                    }
-                    _ => {
-                        retry_hint = fault.retry_after;
-                        round += 1;
-                    }
-                },
-                RoundOutcome::Deadline => return Err(JobFailure::DeadlineExceeded),
+            };
+            if let Err(failure) = outcome {
+                calls.iter_mut().for_each(Call::abandon);
+                return Err(failure);
             }
         }
+        Ok(calls
+            .into_iter()
+            .map(|call| match call.phase {
+                Phase::Delivered(completion) => completion,
+                _ => unreachable!("the loop ends once every call is delivered"),
+            })
+            .collect())
     }
 }
 
@@ -457,20 +580,24 @@ impl LanguageModel for ResilientLlm {
         self.inner.profile()
     }
 
+    /// A batch of one.
     fn complete(&self, request: &CompletionRequest) -> Completion {
+        self.complete_all(std::slice::from_ref(request))
+            .pop()
+            .expect("one completion per request")
+    }
+
+    fn complete_all(&self, requests: &[CompletionRequest]) -> Vec<Completion> {
         // A job that already failed stops burning attempts and spend:
         // every remaining pipeline call short-circuits to an empty
         // completion, which the agent's parsers treat as "no findings".
-        if self.failed() {
-            return empty_completion();
-        }
-        match self.complete_resilient(request) {
-            Ok(completion) => completion,
-            Err(failure) => {
-                self.fail(failure);
-                empty_completion()
+        if !self.failed() {
+            match self.deliver_all(requests) {
+                Ok(completions) => return completions,
+                Err(failure) => self.fail(failure),
             }
         }
+        vec![empty_completion(); requests.len()]
     }
 }
 
@@ -623,6 +750,92 @@ mod tests {
         );
         assert!(completion.text.is_empty());
         assert_eq!(resilient.take_failure(), Some(JobFailure::DeadlineExceeded));
+    }
+
+    #[test]
+    fn a_batch_retries_and_hedges_each_call_to_the_fault_free_content() {
+        let requests: Vec<CompletionRequest> =
+            (0..24).map(|salt| request().with_salt(salt)).collect();
+        let probe = flaky();
+        assert!(
+            requests
+                .iter()
+                .any(|r| probe.prepare(r).draw(0).fault.is_some()),
+            "no call faulted on lane 0; the test is vacuous"
+        );
+        let resilient = ResilientLlm::new(
+            flaky(),
+            ResiliencePolicy::default()
+                .retries(16)
+                .backoff(Duration::from_micros(10), Duration::from_micros(100))
+                .hedged(HedgePolicy {
+                    quantile: 0.95,
+                    min_delay: Duration::from_micros(20),
+                }),
+            None,
+            ResilienceCounters::detached(),
+        );
+        let delivered = resilient.complete_all(&requests);
+        assert!(resilient.take_failure().is_none());
+        assert!(resilient.counters.retries.get() >= 1, "no retry happened");
+        assert!(resilient.counters.hedges.get() >= 1, "no hedge fired");
+        let clean = SimLlm::new("gpt-4o-mini");
+        assert_eq!(delivered, clean.complete_all(&requests));
+        // Only winners are billed: one delivery per call.
+        assert_eq!(resilient.usage(), clean.usage());
+    }
+
+    #[test]
+    fn a_deadline_mid_batch_fails_once_and_bills_no_abandoned_attempt() {
+        // Half the calls straggle for about 20 s, the rest take 1 ms:
+        // the deadline passes while the stragglers are in flight.
+        let plan = FaultPlan::new()
+            .with_profile(LatencyProfile::flat(Duration::from_millis(1)))
+            .with_tail(simllm::TailSpec {
+                probability: 0.5,
+                lognormal_sigma: 0.1,
+                median_multiplier: 20_000.0,
+                pareto_alpha: 0.0,
+                pareto_weight: 0.0,
+                max_multiplier: 50_000.0,
+            });
+        let model = || SimLlm::new("gpt-4o-mini").with_fault_plan(plan.clone());
+        let requests: Vec<CompletionRequest> =
+            (0..16).map(|salt| request().with_salt(salt)).collect();
+        let probe = model();
+        let fast = requests
+            .iter()
+            .filter(|r| probe.prepare(r).draw(0).latency < Duration::from_millis(50))
+            .count();
+        assert!(
+            fast > 0 && fast < requests.len(),
+            "{fast} of {} calls are fast; the batch must mix both",
+            requests.len()
+        );
+        let started = Instant::now();
+        let resilient = ResilientLlm::new(
+            model(),
+            ResiliencePolicy::unbounded(),
+            Some(started + Duration::from_millis(300)),
+            ResilienceCounters::detached(),
+        );
+        let completions = resilient.complete_all(&requests);
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the deadline did not cut the batch short"
+        );
+        assert_eq!(completions.len(), requests.len());
+        assert!(completions.iter().all(|c| c.text.is_empty()));
+        // The calls delivered before the deadline are billed; the
+        // stragglers abandoned at the deadline are not.
+        assert_eq!(resilient.usage().calls, fast);
+        // The failure latched: a later batch fails fast and bills nothing,
+        // and the job reports the one failure.
+        let again = resilient.complete_all(&requests);
+        assert!(again.iter().all(|c| c.text.is_empty()));
+        assert_eq!(resilient.usage().calls, fast);
+        assert_eq!(resilient.take_failure(), Some(JobFailure::DeadlineExceeded));
+        assert_eq!(resilient.take_failure(), None);
     }
 
     #[test]

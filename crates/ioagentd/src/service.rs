@@ -15,9 +15,11 @@
 //!   model, config); resubmitting an identical job is answered from the
 //!   cache with zero LLM calls.
 //! - Each worker additionally owns a rayon-shim pool of
-//!   [`ServiceConfig::intra_threads`] threads for the hot loops *inside* a
+//!   [`ServiceConfig::intra_threads`] threads for the CPU work *inside* a
 //!   job, so the daemon's thread budget is `workers × intra_threads` (see
 //!   the [`ServiceConfig`] docs for how to split it).
+//! - A job that panics is answered as an `internal` failure
+//!   (`service.panics`); its worker keeps serving the queue.
 
 use crate::cache::LruCache;
 use crate::queue::{BoundedQueue, QueueClosed};
@@ -29,7 +31,7 @@ use ioobserve::{
     WindowSpec,
 };
 use iostore::{ResultKey, ResultStore, StateDir};
-use simllm::{Diagnosis, FaultPlan, SimLlm};
+use simllm::{Diagnosis, FaultPlan, LanguageModel, SimLlm};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -42,18 +44,25 @@ pub use ioagent_core::rag::{IndexProvenance, Retriever};
 /// Service sizing knobs.
 ///
 /// The daemon spends threads at two grains: `workers` jobs run
-/// concurrently, and each job may additionally split its own hot loops
-/// (per-fragment diagnosis, retrieval reflection, merge levels) across
-/// `intra_threads` rayon-shim threads. The total thread budget is therefore
-/// `workers × intra_threads`; size the product to the machine, not either
-/// factor alone. Many small jobs favour wide `workers` × `intra_threads` 1
-/// (the default); few large traces favour the opposite split.
+/// concurrently, and each job may additionally split its own CPU work
+/// (retrieval and self-reflection per fragment, generating the content of
+/// a stage's LLM calls) across `intra_threads` rayon-shim threads. The
+/// total thread budget is therefore `workers × intra_threads`; size the
+/// product to the machine, not either factor alone. Many small jobs
+/// favour wide `workers` × `intra_threads` 1 (the default); few large
+/// traces favour the opposite split. Waiting on the model needs no
+/// threads at either grain: each pipeline stage's LLM calls are in flight
+/// together on the job's own thread.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads (diagnoses running concurrently).
     pub workers: usize,
-    /// Rayon-shim pool width *inside* each job (1 = sequential hot loops,
-    /// the pre-shim behaviour). Diagnoses are bit-identical at any width.
+    /// Rayon-shim pool width *inside* each job, for its CPU work only
+    /// (1 = sequential hot loops, the pre-shim behaviour). Model latency
+    /// already overlaps at width 1: each pipeline stage's LLM calls are
+    /// in flight together on the worker thread, so a wider pool buys
+    /// cores, not fewer round trips. Diagnoses are bit-identical at any
+    /// width.
     pub intra_threads: usize,
     /// Job queue bound; producers block (backpressure) when it is full.
     pub queue_capacity: usize,
@@ -399,6 +408,8 @@ struct ServiceCounters {
     jobs_failed: Arc<Counter>,
     shed_total: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
+    /// Jobs whose execution panicked (caught; the worker kept serving).
+    panics: Arc<Counter>,
     /// Retry/hedge/fault instruments, grouped for handing to each job's
     /// [`ResilientLlm`] (clones share the same atomics).
     resilience: ResilienceCounters,
@@ -429,6 +440,7 @@ impl ServiceCounters {
             jobs_failed: registry.counter("service.jobs_failed"),
             shed_total: registry.counter("service.shed_total"),
             deadline_exceeded: registry.counter("service.deadline_exceeded"),
+            panics: registry.counter("service.panics"),
             resilience: ResilienceCounters {
                 retries: registry.counter("service.retries"),
                 hedges: registry.counter("service.hedges"),
@@ -474,6 +486,7 @@ impl Shared {
                     c.deadline_exceeded.inc();
                 }
                 JobFailure::DeadlineExceeded => c.deadline_exceeded.inc(),
+                JobFailure::Internal => c.panics.inc(),
                 JobFailure::RetriesExhausted { .. } | JobFailure::Fault(_) => {}
             }
             c.llm_calls.add(result.metrics.llm_calls as u64);
@@ -678,8 +691,9 @@ impl DiagnosisService {
     }
 
     /// Both model names a job would instantiate inside a worker. Checked
-    /// at submit time: an unknown profile would otherwise panic the worker
-    /// thread (`profile_or_panic`) and wedge every waiter behind it.
+    /// at submit time, so an unknown profile is answered as
+    /// `unknown_model` instead of panicking inside the worker
+    /// (`profile_or_panic`) and coming back as an `internal` failure.
     fn validate_models(request: &JobRequest) -> Result<(), SubmitError> {
         if simllm::profile(&request.model).is_none() {
             return Err(SubmitError::UnknownModel(request.model.clone()));
@@ -857,82 +871,107 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
     // configured intra-job width, making the daemon's thread budget an
     // explicit `workers × intra_threads` product: width 1 (the default)
     // keeps hot loops sequential inside each job regardless of the global
-    // pool or `RAYON_NUM_THREADS`; wider pools split per-fragment
-    // diagnosis, retrieval reflection, and merge levels within the job.
-    // Diagnosis output is bit-identical at any width.
+    // pool or `RAYON_NUM_THREADS`; wider pools split retrieval
+    // reflection and content generation within the job. Model latency
+    // overlaps at any width (a stage's LLM calls are in flight together
+    // on this thread). Diagnosis output is bit-identical at any width.
     let intra_pool = rayon::ThreadPoolBuilder::new()
         .num_threads(shared.intra_threads)
         .build()
         .expect("intra-job thread pool");
-    let tracer = ioobserve::tracer();
     while let Some(job) = shared.queue.pop() {
         shared.counters.workers_busy.add(1);
-        let queue_wait = job.enqueued.elapsed();
-        let started = Instant::now();
-
-        // The root span for this job opens retroactively at the enqueue
-        // instant, so its duration is true wall time (queue wait + exec)
-        // and `stage.queue_wait` tiles the pre-dequeue part exactly. It
-        // stays on this thread's span stack, parenting every stage span
-        // the pipeline opens below (with `intra_threads` 1 — the default
-        // — all job work runs on this thread).
-        let mut job_span = tracer.span_at("job", job.enqueued_ns, 0);
-        job_span.set_attr("id", &job.request.id);
-        job_span.set_attr("trace_id", &job.trace_id);
-        job_span.set_attr("model", &job.request.model);
-        job_span.set_attr("worker", worker_idx);
-        drop(tracer.span_at("stage.queue_wait", job.enqueued_ns, job_span.id()));
-
-        // Shed before any work: a deadline that expired in the queue
-        // means the client has already given up — executing now would
-        // burn a worker on an answer nobody reads.
-        let result = if job.deadline_at.is_some_and(|d| Instant::now() >= d) {
-            JobResult {
-                id: job.request.id,
-                diagnosis: empty_diagnosis(&job.request.model),
-                cached: false,
-                worker: worker_idx,
-                metrics: JobMetrics {
-                    queue_wait,
-                    exec: started.elapsed(),
-                    ..Default::default()
-                },
-                trace_id: job.trace_id,
-                failure: Some(JobFailure::DeadlineExceededQueued),
-            }
-        } else {
-            // A duplicate may have completed while this job sat in the
-            // queue.
-            match shared.lookup(&job.key) {
-                Some(diagnosis) => JobResult {
-                    id: job.request.id,
-                    diagnosis,
-                    cached: true,
-                    worker: worker_idx,
-                    metrics: JobMetrics {
-                        queue_wait,
-                        exec: started.elapsed(),
-                        ..Default::default()
-                    },
-                    trace_id: job.trace_id,
-                    failure: None,
-                },
-                None => execute_fresh(shared, &job, worker_idx, &intra_pool, queue_wait, started),
-            }
-        };
-        if let Some(failure) = &result.failure {
-            job_span.set_attr("error", failure.error_kind());
-        }
-        job_span.set_attr("cached", result.cached);
-        // End (and flush) the job's spans before bookkeeping so the
-        // recorded wall time covers exactly enqueue → result ready.
-        drop(job_span);
-        shared.record(&result);
-        // The submitter may have given up on the ticket; that is fine.
-        let _ = job.reply.send(result);
+        serve_job(shared, job, worker_idx, &intra_pool);
         shared.counters.workers_busy.sub(1);
     }
-    tracer.flush();
+    ioobserve::tracer().flush();
+}
+
+/// Serve one dequeued job on this worker: shed it, answer it from the
+/// cache, or execute it; then record and reply. A panic while executing
+/// is caught and answered as an `internal` failure, so one bad job costs
+/// one reply, never the worker or the waiters queued behind it.
+fn serve_job(shared: &Shared, job: QueuedJob, worker_idx: usize, intra_pool: &rayon::ThreadPool) {
+    let tracer = ioobserve::tracer();
+    let queue_wait = job.enqueued.elapsed();
+    let started = Instant::now();
+
+    // The root span for this job opens retroactively at the enqueue
+    // instant, so its duration is true wall time (queue wait + exec)
+    // and `stage.queue_wait` tiles the pre-dequeue part exactly. It
+    // stays on this thread's span stack, parenting every stage span
+    // the pipeline opens below (with `intra_threads` 1 — the default
+    // — all job work runs on this thread).
+    let mut job_span = tracer.span_at("job", job.enqueued_ns, 0);
+    job_span.set_attr("id", &job.request.id);
+    job_span.set_attr("trace_id", &job.trace_id);
+    job_span.set_attr("model", &job.request.model);
+    job_span.set_attr("worker", worker_idx);
+    drop(tracer.span_at("stage.queue_wait", job.enqueued_ns, job_span.id()));
+
+    let unexecuted = |diagnosis: Diagnosis, cached: bool, failure: Option<JobFailure>| JobResult {
+        id: job.request.id.clone(),
+        diagnosis,
+        cached,
+        worker: worker_idx,
+        metrics: JobMetrics {
+            queue_wait,
+            exec: started.elapsed(),
+            ..Default::default()
+        },
+        trace_id: job.trace_id.clone(),
+        failure,
+    };
+    // Shed before any work: a deadline that expired in the queue
+    // means the client has already given up — executing now would
+    // burn a worker on an answer nobody reads.
+    let result = if job.deadline_at.is_some_and(|d| Instant::now() >= d) {
+        unexecuted(
+            empty_diagnosis(&job.request.model),
+            false,
+            Some(JobFailure::DeadlineExceededQueued),
+        )
+    } else if let Some(diagnosis) = shared.lookup(&job.key) {
+        // A duplicate completed while this job sat in the queue.
+        unexecuted(diagnosis, true, None)
+    } else {
+        let execute = || {
+            execute_fresh(
+                shared,
+                &job,
+                worker_idx,
+                intra_pool,
+                queue_wait,
+                started,
+                &mut job_span,
+            )
+        };
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(execute)) {
+            Ok(result) => result,
+            Err(_) => {
+                // The panic hook has already printed the message.
+                eprintln!(
+                    "[ioagentd] job {:?} panicked on worker {worker_idx}; answered as internal",
+                    job.request.id
+                );
+                unexecuted(
+                    empty_diagnosis(&job.request.model),
+                    false,
+                    Some(JobFailure::Internal),
+                )
+            }
+        }
+    };
+    if let Some(failure) = &result.failure {
+        job_span.set_attr("error", failure.error_kind());
+    }
+    job_span.set_attr("cached", result.cached);
+    // End (and flush) the job's spans before bookkeeping so the
+    // recorded wall time covers exactly enqueue → result ready.
+    drop(job_span);
+    shared.record(&result);
+    // The submitter may have given up on the ticket; that is fine.
+    let _ = job.reply.send(result);
 }
 
 /// Run one cache-missing job to completion (or failure) on this worker.
@@ -942,7 +981,8 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
 /// wrapper that retries, hedges, and enforces the deadline around every
 /// LLM call the pipeline issues. Failed jobs return an empty diagnosis
 /// and are never cached; the spend they accumulated before failing is
-/// still accounted.
+/// still accounted. The job's backbone wave count (its critical path in
+/// model round trips) goes on `job_span` as `llm_waves`.
 fn execute_fresh(
     shared: &Shared,
     job: &QueuedJob,
@@ -950,13 +990,23 @@ fn execute_fresh(
     intra_pool: &rayon::ThreadPool,
     queue_wait: Duration,
     started: Instant,
+    job_span: &mut ioobserve::Span,
 ) -> JobResult {
     // Fresh per-job models: usage accounting stays job-local.
     let mut model = SimLlm::new(&job.request.model);
     if let Some(plan) = &shared.fault_plan {
         model = model.with_fault_plan(plan.clone());
     }
-    let (diagnosis, backbone, reflection, failure) =
+    let run = |model: &dyn LanguageModel| {
+        let agent = IoAgent::with_shared_retriever(
+            model,
+            job.request.config.clone(),
+            Arc::clone(&shared.retriever),
+        );
+        let diagnosis = intra_pool.install(|| agent.diagnose(&job.request.trace));
+        (diagnosis, agent.reflection_usage(), agent.llm_waves())
+    };
+    let (diagnosis, backbone, reflection, waves, failure) =
         if shared.resilience.is_some() || job.deadline_at.is_some() {
             let policy = shared
                 .resilience
@@ -967,24 +1017,19 @@ fn execute_fresh(
                 job.deadline_at,
                 shared.counters.resilience.clone(),
             );
-            let agent = IoAgent::with_shared_retriever(
-                &model,
-                job.request.config.clone(),
-                Arc::clone(&shared.retriever),
-            );
-            let diagnosis = intra_pool.install(|| agent.diagnose(&job.request.trace));
-            let reflection = agent.reflection_usage();
-            (diagnosis, model.usage(), reflection, model.take_failure())
+            let (diagnosis, reflection, waves) = run(&model);
+            (
+                diagnosis,
+                model.usage(),
+                reflection,
+                waves,
+                model.take_failure(),
+            )
         } else {
-            let agent = IoAgent::with_shared_retriever(
-                &model,
-                job.request.config.clone(),
-                Arc::clone(&shared.retriever),
-            );
-            let diagnosis = intra_pool.install(|| agent.diagnose(&job.request.trace));
-            let reflection = agent.reflection_usage();
-            (diagnosis, model.usage(), reflection, None)
+            let (diagnosis, reflection, waves) = run(&model);
+            (diagnosis, model.usage(), reflection, waves, None)
         };
+    job_span.set_attr("llm_waves", waves);
     let diagnosis = match failure {
         // A failed job's partial pipeline output is meaningless; drop it.
         Some(_) => empty_diagnosis(&job.request.model),
@@ -1019,5 +1064,90 @@ fn empty_diagnosis(model: &str) -> Diagnosis {
         text: String::new(),
         issues: Vec::new(),
         references: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job as `submit` would queue it, but without its model check, so
+    /// an unknown model reaches the worker and panics there.
+    fn unchecked(
+        id: &str,
+        trace: &DarshanTrace,
+        model: &str,
+    ) -> (QueuedJob, mpsc::Receiver<JobResult>) {
+        let request = JobRequest::new(id, trace.clone(), model);
+        let (reply, receiver) = mpsc::channel();
+        let job = QueuedJob {
+            key: request.fingerprint(),
+            trace_id: id.to_string(),
+            request,
+            enqueued: Instant::now(),
+            enqueued_ns: 0,
+            deadline_at: None,
+            reply,
+        };
+        (job, receiver)
+    }
+
+    #[test]
+    fn a_panicking_job_fails_as_internal_and_its_worker_keeps_serving() {
+        let suite = tracebench::TraceBench::generate();
+        let trace = suite.get("sb01_small_io").unwrap().trace.clone();
+        let service = DiagnosisService::start(ServiceConfig::with_workers(1).cache_capacity(0));
+        let (bad, panicking) = unchecked("bad", &trace, "gpt-17");
+        let (good, next) = unchecked("good", &trace, "gpt-4o");
+        assert!(service.shared.queue.push(bad).is_ok());
+        assert!(service.shared.queue.push(good).is_ok());
+
+        let failed = panicking
+            .recv()
+            .expect("the panicking job still gets a reply");
+        assert_eq!(failed.failure, Some(JobFailure::Internal));
+        assert_eq!(failed.failure.unwrap().error_kind(), "internal");
+        assert!(failed.diagnosis.text.is_empty());
+        assert_eq!(failed.worker, 0);
+
+        // The same (only) worker serves the next job normally.
+        let served = next.recv().expect("the next job gets its reply");
+        assert!(served.failure.is_none(), "{:?}", served.failure);
+        assert_eq!(served.worker, 0);
+        let reference = IoAgent::new(&SimLlm::new("gpt-4o")).diagnose(&trace);
+        assert_eq!(served.diagnosis.text, reference.text);
+
+        let stats = service.stats();
+        assert_eq!(stats.jobs_failed, 1);
+        assert_eq!(stats.jobs_completed, 1);
+        assert_eq!(service.shared.counters.panics.get(), 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn serve_job_answers_a_panic_and_then_the_next_job() {
+        let suite = tracebench::TraceBench::generate();
+        let trace = suite.get("sb03_metadata_storm").unwrap().trace.clone();
+        // No workers drain this queue: the test plays the worker.
+        let service = DiagnosisService::start(ServiceConfig::with_workers(1).cache_capacity(0));
+        let shared = Arc::clone(&service.shared);
+        service.shutdown();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let (bad, bad_reply) = unchecked("bad", &trace, "no-such-model");
+        serve_job(&shared, bad, 3, &pool);
+        let failed = bad_reply.recv().unwrap();
+        assert_eq!(failed.failure, Some(JobFailure::Internal));
+        assert_eq!((failed.id.as_str(), failed.worker), ("bad", 3));
+
+        let (good, good_reply) = unchecked("good", &trace, "gpt-4o-mini");
+        serve_job(&shared, good, 3, &pool);
+        let served = good_reply.recv().unwrap();
+        assert!(served.failure.is_none(), "{:?}", served.failure);
+        assert!(!served.diagnosis.text.is_empty());
+        assert!(served.metrics.llm_calls > 0);
+        assert_eq!(shared.counters.panics.get(), 1);
     }
 }

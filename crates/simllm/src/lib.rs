@@ -45,6 +45,7 @@ pub use report::{extract_issues, Diagnosis};
 
 use ioobserve::{Counter, FloatCounter, Histogram};
 use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -127,6 +128,14 @@ pub trait LanguageModel: Send + Sync {
     fn profile(&self) -> &ModelProfile;
     /// Complete a request, retrying internally until it succeeds.
     fn complete(&self, request: &CompletionRequest) -> Completion;
+    /// Complete independent requests, returning their completions in
+    /// request order. The default issues them one after another through
+    /// [`LanguageModel::complete`]; a model whose calls wait on a remote
+    /// round trip overrides it to keep every call in flight at once, so
+    /// the batch waits about as long as its slowest call.
+    fn complete_all(&self, requests: &[CompletionRequest]) -> Vec<Completion> {
+        requests.iter().map(|r| self.complete(r)).collect()
+    }
 }
 
 /// Cumulative usage across a model instance's lifetime.
@@ -187,6 +196,22 @@ impl SimLlm {
     /// delivery attempt of the request shares this content, because
     /// content draws are keyed by (model, prompt, salt), never by lane.
     pub fn prepare(&self, request: &CompletionRequest) -> Prepared<'_> {
+        self.prepare_under(request, ioobserve::tracer().current_span_id())
+    }
+
+    /// [`SimLlm::prepare`] every request, split across the current shim
+    /// pool (content generation is the CPU part of a call), in request
+    /// order. Every attempt span parents on the caller's current span,
+    /// whichever pool thread prepared the request.
+    pub fn prepare_all(&self, requests: &[CompletionRequest]) -> Vec<Prepared<'_>> {
+        let parent_span = ioobserve::tracer().current_span_id();
+        requests
+            .par_iter()
+            .map(|request| self.prepare_under(request, parent_span))
+            .collect()
+    }
+
+    fn prepare_under(&self, request: &CompletionRequest, parent_span: u64) -> Prepared<'_> {
         let started = Instant::now();
         let prompt = format!("{}\n{}", request.system, request.user);
         let prompt_hash = rng::stable_hash(&prompt);
@@ -222,7 +247,7 @@ impl SimLlm {
                 cost_usd,
             },
             task,
-            parent_span: ioobserve::tracer().current_span_id(),
+            parent_span,
             started,
         }
     }
@@ -366,31 +391,76 @@ impl LanguageModel for SimLlm {
         self.profile
     }
 
-    /// Infinite-patience delivery: retry injected faults forever on
-    /// lanes 0, 1, 2, … (honouring rate-limit hints), return the first
-    /// success. This is the countermeasures-off baseline a resilient
-    /// caller competes against — it always succeeds eventually, with an
-    /// enormous tail.
+    /// A batch of one.
     fn complete(&self, request: &CompletionRequest) -> Completion {
-        let prepared = self.prepare(request);
-        let mut lane = 0u32;
+        self.complete_all(std::slice::from_ref(request))
+            .pop()
+            .expect("one completion per request")
+    }
+
+    /// Infinite-patience delivery of every request at once: launch each
+    /// request's lane 0 together, then sleep to the earliest event — an
+    /// attempt's finish or a faulted call's relaunch — and handle it. A
+    /// faulted call relaunches on its next lane (1, 2, …) after the
+    /// fault's rate-limit hint; the first success is delivered. This is
+    /// the countermeasures-off baseline a resilient caller competes
+    /// against — it always succeeds eventually, with an enormous tail.
+    /// The loop runs on the calling thread and starts none.
+    fn complete_all(&self, requests: &[CompletionRequest]) -> Vec<Completion> {
+        let prepared = self.prepare_all(requests);
+        let mut calls: Vec<(u32, Delivery)> = prepared
+            .iter()
+            .map(|p| (0, Delivery::InFlight(p.launch(0))))
+            .collect();
         loop {
-            let attempt = prepared.launch(lane);
-            sleep_until(attempt.finish);
-            match prepared.resolve(attempt) {
-                Ok(completion) => {
-                    call_metrics().attempts.record(u64::from(lane) + 1);
-                    return completion;
+            let next = calls
+                .iter()
+                .enumerate()
+                .filter_map(|(i, (_, d))| match d {
+                    Delivery::InFlight(attempt) => Some((attempt.finish, i)),
+                    Delivery::Relaunch(at) => Some((*at, i)),
+                    Delivery::Delivered(_) => None,
+                })
+                .min();
+            let Some((at, i)) = next else { break };
+            sleep_until(at);
+            let (lane, delivery) = &mut calls[i];
+            match std::mem::replace(delivery, Delivery::Relaunch(at)) {
+                Delivery::Relaunch(_) => {
+                    *lane = lane.wrapping_add(1);
+                    *delivery = Delivery::InFlight(prepared[i].launch(*lane));
                 }
-                Err(fault) => {
-                    if let Some(wait) = fault.retry_after {
-                        std::thread::sleep(wait);
+                Delivery::InFlight(attempt) => match prepared[i].resolve(attempt) {
+                    Ok(completion) => {
+                        call_metrics().attempts.record(u64::from(*lane) + 1);
+                        *delivery = Delivery::Delivered(completion);
                     }
-                    lane = lane.wrapping_add(1);
-                }
+                    Err(fault) => {
+                        let wait = fault.retry_after.unwrap_or_default();
+                        *delivery = Delivery::Relaunch(Instant::now() + wait);
+                    }
+                },
+                Delivery::Delivered(_) => unreachable!("a delivered call has no event"),
             }
         }
+        calls
+            .into_iter()
+            .map(|(_, d)| match d {
+                Delivery::Delivered(completion) => completion,
+                _ => unreachable!("the loop ends once every call is delivered"),
+            })
+            .collect()
     }
+}
+
+/// Where one call of [`SimLlm`]'s delivery loop stands.
+enum Delivery {
+    /// The current lane's attempt is in flight.
+    InFlight(Attempt),
+    /// The last lane faulted; the next launches at this instant.
+    Relaunch(Instant),
+    /// Delivered and billed.
+    Delivered(Completion),
 }
 
 #[cfg(test)]
@@ -451,6 +521,60 @@ mod tests {
         assert_eq!(a.text, b.text);
         assert_eq!(a.input_tokens, b.input_tokens);
         assert_eq!(plain.usage(), slow.usage());
+    }
+
+    #[test]
+    fn complete_all_overlaps_calls_on_one_thread() {
+        let requests: Vec<CompletionRequest> = (0..16)
+            .map(|i| {
+                CompletionRequest::new(
+                    "Decide whether the source is relevant to the fragment.",
+                    format!("### TASK: filter\n## FRAGMENT\nsmall writes {i}\n## SOURCE\nsmall writes\n"),
+                )
+            })
+            .collect();
+        let latency = std::time::Duration::from_millis(10);
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let overlapped = SimLlm::new("gpt-4o-mini").with_latency(latency);
+        let started = Instant::now();
+        let batch = one_thread.install(|| overlapped.complete_all(&requests));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(30),
+            "16 calls of 10 ms took {elapsed:?}: they did not overlap"
+        );
+        let sequential = SimLlm::new("gpt-4o-mini").with_latency(latency);
+        let one_by_one: Vec<Completion> = requests.iter().map(|r| sequential.complete(r)).collect();
+        assert_eq!(batch, one_by_one);
+        assert_eq!(overlapped.usage(), sequential.usage());
+        assert_eq!(overlapped.usage().calls, 16);
+    }
+
+    #[test]
+    fn complete_all_retries_each_faulted_call_to_the_same_content() {
+        let requests: Vec<CompletionRequest> = (0..24)
+            .map(|salt| {
+                CompletionRequest::new(
+                    "s",
+                    "### TASK: diagnose\nEVIDENCE nprocs=8\nEVIDENCE posix.writes=1000",
+                )
+                .with_salt(salt)
+            })
+            .collect();
+        let plain = SimLlm::new("gpt-4o");
+        let flaky = SimLlm::new("gpt-4o").with_fault_plan(flaky_plan());
+        assert!(
+            requests
+                .iter()
+                .any(|r| flaky.prepare(r).draw(0).fault.is_some()),
+            "no request faulted on lane 0; the test is vacuous"
+        );
+        assert_eq!(flaky.complete_all(&requests), plain.complete_all(&requests));
+        assert_eq!(flaky.usage(), plain.usage());
+        assert!(flaky.complete_all(&[]).is_empty());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! hedged or not — must produce diagnoses byte-identical to a fault-free
 //! run, with identical per-job accounting.
 
+use ioagent_core::IoAgent;
 use ioagentd::{
-    DiagnosisService, HedgePolicy, JobFailure, JobRequest, ResiliencePolicy, ServiceConfig,
+    DiagnosisService, HedgePolicy, JobFailure, JobRequest, ResilienceCounters, ResiliencePolicy,
+    ResilientLlm, ServiceConfig,
 };
-use simllm::{FaultPlan, FaultSpec, LatencyProfile, TailSpec};
-use std::time::Duration;
+use simllm::{FaultPlan, FaultSpec, LanguageModel, LatencyProfile, SimLlm, TailSpec};
+use std::time::{Duration, Instant};
 use tracebench::TraceBench;
 
 /// Latencies in microseconds, fault probabilities high enough that a
@@ -153,18 +155,133 @@ fn faulted_service_is_byte_identical_to_fault_free_at_any_width() {
     hedged.shutdown();
 }
 
+fn hedged_policy() -> ResiliencePolicy {
+    chaos_policy().hedged(HedgePolicy {
+        quantile: 0.95,
+        min_delay: Duration::from_micros(10),
+    })
+}
+
+/// Each pipeline stage's calls are in flight together (one wave per
+/// stage), each call with its own retries, hedge and backoff. However the
+/// waves interleave faults, hedges and retries, every diagnosis and every
+/// bill must equal the fault-free run's.
+#[test]
+fn fan_out_waves_under_faults_and_hedging_match_the_fault_free_run() {
+    let suite = TraceBench::generate();
+    let jobs = workload(&suite);
+    let clean = DiagnosisService::start(ServiceConfig::with_workers(1).cache_capacity(0));
+    let reference = clean.run_batch(jobs.clone()).unwrap();
+    // One worker at intra-job width 1: all of a job's overlap comes from
+    // its waves. The generous deadline shares one clock across each
+    // job's calls without ever firing.
+    let fanned = DiagnosisService::with_shared_index(
+        ServiceConfig::with_workers(1)
+            .cache_capacity(0)
+            .fault_plan(chaos_plan())
+            .resilience(hedged_policy())
+            .deadline(Duration::from_secs(60)),
+        clean.retriever(),
+    );
+    let results = fanned.run_batch(jobs.clone()).unwrap();
+    for (r, f) in reference.iter().zip(&results) {
+        assert!(f.failure.is_none(), "{}: {:?}", f.id, f.failure);
+        assert_eq!(f.diagnosis.text, r.diagnosis.text, "{}", r.id);
+        assert_eq!(f.diagnosis.issues, r.diagnosis.issues, "{}", r.id);
+        assert_eq!(f.diagnosis.references, r.diagnosis.references, "{}", r.id);
+        assert_eq!(f.metrics.llm_calls, r.metrics.llm_calls, "{}", r.id);
+        assert_eq!(f.metrics.input_tokens, r.metrics.input_tokens, "{}", r.id);
+        assert_eq!(f.metrics.cost_usd, r.metrics.cost_usd, "{}", r.id);
+    }
+    let stats = fanned.stats();
+    assert!(stats.retries > 0, "no retry fired; the arm is vacuous");
+    assert!(stats.hedges > 0, "no hedge fired; the arm is vacuous");
+
+    // The same jobs straight through the agent: the backbone's calls
+    // went out in a handful of waves, not one at a time.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    for job in &jobs {
+        let plain = SimLlm::new(&job.model);
+        let faulted = ResilientLlm::new(
+            SimLlm::new(&job.model).with_fault_plan(chaos_plan()),
+            hedged_policy(),
+            Some(Instant::now() + Duration::from_secs(60)),
+            ResilienceCounters::detached(),
+        );
+        let run = |model: &dyn LanguageModel| {
+            let agent =
+                IoAgent::with_shared_retriever(model, job.config.clone(), clean.retriever());
+            let text = pool.install(|| agent.diagnose(&job.trace)).text;
+            (text, agent.llm_waves())
+        };
+        let (expected, plain_waves) = run(&plain);
+        let (text, waves) = run(&faulted);
+        assert!(faulted.take_failure().is_none(), "{}", job.id);
+        assert_eq!(text, expected, "{}", job.id);
+        assert_eq!(faulted.usage(), plain.usage(), "{}", job.id);
+        assert_eq!(waves, plain_waves, "{}", job.id);
+        assert!(
+            waves >= 3 && waves * 3 < plain.usage().calls,
+            "{}: {waves} waves for {} backbone calls",
+            job.id,
+            plain.usage().calls
+        );
+    }
+    clean.shutdown();
+    fanned.shutdown();
+}
+
+#[test]
+fn a_deadline_mid_wave_fails_the_job_once_and_bills_no_abandoned_attempt() {
+    let suite = TraceBench::generate();
+    let entry = suite.get("sb01_small_io").unwrap();
+    let fragments = preprocessor::extract_fragments(&entry.trace).len();
+    // Every backbone call takes 300ms. The transform wave delivers at
+    // 300ms, and the diagnosis wave, due at 600ms, is in flight when the
+    // 450ms deadline passes. Without retrieval no other model is billed.
+    let service = DiagnosisService::start(
+        ServiceConfig::with_workers(1)
+            .cache_capacity(0)
+            .fault_plan(
+                FaultPlan::new().with_profile(LatencyProfile::flat(Duration::from_millis(300))),
+            )
+            .resilience(ResiliencePolicy::unbounded()),
+    );
+    let mut job = JobRequest::new("late", entry.trace.clone(), "gpt-4o")
+        .with_deadline(Duration::from_millis(450));
+    job.config.use_rag = false;
+    let result = service.submit(job).unwrap().wait();
+    assert_eq!(result.failure, Some(JobFailure::DeadlineExceeded));
+    assert!(result.diagnosis.text.is_empty());
+    assert_eq!(
+        result.metrics.llm_calls, fragments,
+        "only the delivered transform wave is billed"
+    );
+    let stats = service.stats();
+    assert_eq!(stats.deadline_exceeded, 1);
+    assert_eq!(stats.jobs_failed, 1);
+    assert_eq!(stats.jobs_completed, 0);
+    assert_eq!(stats.llm_calls, fragments as u64);
+    service.shutdown();
+}
+
 #[test]
 fn jobs_expired_in_queue_are_shed_at_dequeue() {
     let suite = TraceBench::generate();
     let entry = suite.get("sb01_small_io").unwrap();
-    // One worker, and each backbone LLM call costs a simulated 2ms round
-    // trip: the first job occupies the worker long enough for the second
-    // job's 5ms deadline to expire while it is still queued.
+    // One worker, and each backbone LLM call costs a simulated 10ms round
+    // trip. The occupant's calls overlap in 4 waves (transforms,
+    // diagnoses, two merge levels), so it holds the worker for about
+    // 40ms: long enough for the second job's 5ms deadline to expire while
+    // it is still queued, with room to spare on a loaded machine.
     let service = DiagnosisService::start(
         ServiceConfig::with_workers(1)
             .cache_capacity(16)
             .fault_plan(
-                FaultPlan::new().with_profile(LatencyProfile::flat(Duration::from_millis(2))),
+                FaultPlan::new().with_profile(LatencyProfile::flat(Duration::from_millis(10))),
             ),
     );
 

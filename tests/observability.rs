@@ -120,6 +120,25 @@ fn tracing_is_invisible_to_diagnoses_and_attributes_job_time() {
         .filter(|r| r.parent == 0 && r.name == JOB_SPAN)
         .count();
     assert_eq!(roots as u64, report.jobs);
+
+    // One `stage.llm` span per wave of backbone calls, and the job root
+    // carries the wave count: one per `stage.llm` span under it.
+    let waves: Vec<&ioobserve::SpanRecord> =
+        records.iter().filter(|r| r.name == "stage.llm").collect();
+    assert!(waves.iter().all(
+        |w| w.attr("calls").and_then(|c| c.parse::<usize>().ok()) > Some(0)
+            && w.attr("op").is_some()
+    ));
+    let mut total_waves = 0;
+    for root in records.iter().filter(|r| r.name == JOB_SPAN) {
+        let count: usize = root
+            .attr("llm_waves")
+            .and_then(|w| w.parse().ok())
+            .expect("every fresh job records llm_waves");
+        assert!(count >= 2, "{count} waves");
+        total_waves += count;
+    }
+    assert_eq!(total_waves, waves.len());
     let table = report.render_table();
     assert!(table.contains("stage.llm"), "table:\n{table}");
 }

@@ -10,9 +10,11 @@
 //!
 //! 1. `vecindex::VectorIndex::search` — parallel chunk scan;
 //! 2. `vecindex::VectorIndex::search_batch` — parallel queries;
-//! 3. `ioagent_core::rag::Retriever::retrieve_k` — parallel reflection;
-//! 4. `ioagent_core::IoAgent::diagnose` — parallel fragments + tree-merge
-//!    levels (covers `agent.rs` and `merge.rs`);
+//! 3. `ioagent_core::rag::Retriever::retrieve_k` — parallel reflection
+//!    (one `complete_all` batch, its content generated across the pool);
+//! 4. `ioagent_core::IoAgent::diagnose` — parallel per-fragment retrieval
+//!    and the `complete_all` waves of transforms, diagnoses and tree-merge
+//!    levels (covers `agent.rs`, `merge.rs` and `simllm`'s batch path);
 //! 5. `judge::Judge::evaluate` — parallel per-trace ranking.
 
 use ioagent_core::merge::{merge_blocks, MergeStrategy, SummaryBlock};
