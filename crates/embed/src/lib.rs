@@ -56,7 +56,8 @@ fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
 /// Reused per-thread tokenisation state: the lowercased concatenation of
 /// the input's tokens plus the (start, end) span of each token within it.
 /// Living in a thread-local, the buffers are allocated once per thread and
-/// amortise to zero allocations per embed.
+/// amortise to zero allocations per embed (`tests/allocations.rs` counts
+/// them).
 #[derive(Default)]
 struct EmbedScratch {
     lower: String,

@@ -6,7 +6,10 @@
 //! hits with a cheaper *self-reflection* model run in parallel, "ruling out
 //! nearly half of the retrieved sources" before diagnosis. The reflection
 //! prompts of one retrieval go to the model as one batch
-//! ([`LanguageModel::complete_all`]), so they are in flight together.
+//! ([`LanguageModel::complete_all`]), so they are in flight together. The
+//! 15 prompts differ only after `## SOURCE`, so the simulated model works
+//! their shared prefix (system prompt, task line, the FRAGMENT and its
+//! token set) once per batch and each call only its own source text.
 
 use ioembed::Embedder;
 use simllm::{CompletionRequest, LanguageModel};

@@ -7,7 +7,8 @@
 //! model, exactly as [`Retriever::retrieve_k`] does inside a diagnosis.
 //! The digest covers every verdict text byte for byte, so any change to
 //! the simulator's filter path (tokenising, overlap scoring, seeding,
-//! attention) that alters even one similarity signal fails here.
+//! attention, the batch's shared-prefix reuse) that alters even one
+//! similarity signal fails here.
 
 use ioagent_core::{transform, Retriever};
 use simllm::rng::stable_hash;
@@ -21,6 +22,8 @@ const GOLDEN_DIGEST: u64 = 0xe169_b99c_3a21_6700;
 const GOLDEN_CALLS: usize = 28_260;
 
 /// Forwards to a [`SimLlm`] and keeps every (prompt hash, verdict) pair.
+/// Retrieval sends its reflection prompts as one batch, so the batch goes
+/// to [`SimLlm::complete_all`] whole, the path a diagnosis takes.
 struct Recorder {
     inner: SimLlm,
     seen: Mutex<Vec<(u64, String)>>,
@@ -36,13 +39,19 @@ impl LanguageModel for Recorder {
     }
 
     fn complete(&self, request: &CompletionRequest) -> Completion {
-        let completion = self.inner.complete(request);
-        let key = stable_hash(&format!("{}\n{}", request.system, request.user));
-        self.seen
-            .lock()
-            .unwrap()
-            .push((key, completion.text.clone()));
-        completion
+        self.complete_all(std::slice::from_ref(request))
+            .pop()
+            .expect("one completion per request")
+    }
+
+    fn complete_all(&self, requests: &[CompletionRequest]) -> Vec<Completion> {
+        let completions = self.inner.complete_all(requests);
+        let mut seen = self.seen.lock().unwrap();
+        for (request, completion) in requests.iter().zip(&completions) {
+            let key = stable_hash(&format!("{}\n{}", request.system, request.user));
+            seen.push((key, completion.text.clone()));
+        }
+        completions
     }
 }
 

@@ -962,13 +962,19 @@ fn serve_job(shared: &Shared, job: QueuedJob, worker_idx: usize, intra_pool: &ra
             }
         }
     };
+    // Assembling the reply is the job's last stage; it starts where the
+    // previous stage ended, and it ends with the job at one clock reading,
+    // so the job's stages tile it from enqueue to its last nanosecond.
+    let reply_span = tracer.span("stage.reply");
     if let Some(failure) = &result.failure {
         job_span.set_attr("error", failure.error_kind());
     }
     job_span.set_attr("cached", result.cached);
     // End (and flush) the job's spans before bookkeeping so the
     // recorded wall time covers exactly enqueue → result ready.
-    drop(job_span);
+    let end_ns = tracer.now_ns();
+    reply_span.end_at(end_ns);
+    job_span.end_at(end_ns);
     shared.record(&result);
     // The submitter may have given up on the ticket; that is fine.
     let _ = job.reply.send(result);

@@ -36,7 +36,7 @@
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::Histogram;
-use crate::report::JOB_SPAN;
+use crate::report::{JOB_SPAN, STAGE_PREFIX};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -374,12 +374,24 @@ impl Drop for ThreadBufs {
     }
 }
 
+/// One entry of a thread's stack of live spans.
+#[derive(Clone, Copy)]
+struct LiveSpan {
+    /// The tracer that opened the span.
+    token: usize,
+    id: u64,
+    /// The span's root, carried so tail sampling can attribute fine spans
+    /// to their job without touching any shared state on the hot path (0
+    /// for non-tail tracers, which never read it).
+    root: u64,
+    /// When the span's last coarse `stage.*` child closed: where its next
+    /// one starts.
+    stage_end: Option<u64>,
+}
+
 thread_local! {
-    /// Stack of live spans on this thread: (tracer token, span id, root
-    /// span id). The root is carried so tail sampling can attribute fine
-    /// spans to their job without touching any shared state on the hot
-    /// path (it is 0 for non-tail tracers, which never read it).
-    static SPAN_STACK: RefCell<Vec<(usize, u64, u64)>> = const { RefCell::new(Vec::new()) };
+    /// Stack of live spans on this thread.
+    static SPAN_STACK: RefCell<Vec<LiveSpan>> = const { RefCell::new(Vec::new()) };
     /// Per-thread rendered-span buffers, one per sink this thread has
     /// written to (almost always exactly one).
     static BUFFERS: RefCell<ThreadBufs> = RefCell::new(ThreadBufs::default());
@@ -653,6 +665,12 @@ impl Tracer {
 
     /// Open a span whose parent is the innermost live span on this
     /// thread (0 if none).
+    ///
+    /// A `stage.*` span starts where the previous `stage.*` span under the
+    /// same parent on this thread ended, not when it is opened, so a job's
+    /// stages tile it: the bookkeeping between two stages counts toward
+    /// the next one, and a thread descheduled there leaves no hole in the
+    /// job's stage coverage.
     pub fn span(&self, name: &str) -> Span {
         self.span_stacked(name, false)
     }
@@ -673,13 +691,19 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return Span { state: None };
         };
-        self.open(
-            inner,
-            name,
-            inner.clock.now_ns(),
-            self.current_span_id(),
-            fine,
-        )
+        let parent = self.innermost(inner);
+        let now = inner.clock.now_ns();
+        let start = match parent.and_then(|p| p.stage_end) {
+            Some(end) if !fine && name.starts_with(STAGE_PREFIX) => end.min(now),
+            _ => now,
+        };
+        self.open(inner, name, start, parent.map_or(0, |p| p.id), fine)
+    }
+
+    /// The innermost live span this tracer opened on this thread.
+    fn innermost(&self, inner: &Arc<TracerInner>) -> Option<LiveSpan> {
+        let token = Arc::as_ptr(inner) as usize;
+        SPAN_STACK.with(|s| s.borrow().iter().rev().find(|l| l.token == token).copied())
     }
 
     /// The innermost live span on this thread (0 if none, or when
@@ -689,14 +713,7 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return 0;
         };
-        let token = Arc::as_ptr(inner) as usize;
-        SPAN_STACK.with(|s| {
-            s.borrow()
-                .iter()
-                .rev()
-                .find(|(t, _, _)| *t == token)
-                .map_or(0, |(_, id, _)| *id)
-        })
+        self.innermost(inner).map_or(0, |l| l.id)
     }
 
     /// Fine-detail variant of [`Tracer::span_child`].
@@ -756,8 +773,8 @@ impl Tracer {
                         s.borrow()
                             .iter()
                             .rev()
-                            .find(|(t, pid, _)| *t == token && *pid == parent)
-                            .map(|(_, _, r)| *r)
+                            .find(|l| l.token == token && l.id == parent)
+                            .map(|l| l.root)
                     })
                     .or_else(|| lock(&tail.roots).get(&parent).copied())
                     .unwrap_or(0)
@@ -766,7 +783,14 @@ impl Tracer {
                 lock(&tail.roots).insert(id, root);
             }
         }
-        SPAN_STACK.with(|s| s.borrow_mut().push((token, id, root)));
+        SPAN_STACK.with(|s| {
+            s.borrow_mut().push(LiveSpan {
+                token,
+                id,
+                root,
+                stage_end: None,
+            })
+        });
         Span {
             state: Some(SpanState {
                 tracer: Arc::clone(inner),
@@ -862,35 +886,64 @@ impl Span {
         self.set_attr(key, value);
         self
     }
+
+    /// End the span at `end_ns`, a reading of [`Tracer::now_ns`], instead
+    /// of when it drops: a span and its last child ended at one reading
+    /// leave no time between the two.
+    pub fn end_at(mut self, end_ns: u64) {
+        if let Some(s) = self.state.take() {
+            let end_ns = end_ns.max(s.record.start_ns);
+            s.finish(end_ns);
+        }
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(mut s) = self.state.take() else {
-            return;
-        };
-        s.record.end_ns = s.tracer.clock.now_ns();
+        if let Some(s) = self.state.take() {
+            let end_ns = s.tracer.clock.now_ns();
+            s.finish(end_ns);
+        }
+    }
+}
+
+impl SpanState {
+    /// Record the span as ended at `end_ns`.
+    fn finish(self, end_ns: u64) {
+        let mut s = self;
+        s.record.end_ns = end_ns;
         let token = Arc::as_ptr(&s.tracer) as usize;
         let buffer_locally = s.fine && s.root != 0 && s.tracer.tail.is_some();
         // Pop this span from the thread's stack (it is almost always the
-        // top; out-of-order drops just remove the matching entry), and —
-        // for tail-sampled fine spans, in the same borrow — check whether
-        // the root is live on this thread, which decides where the record
-        // buffers.
+        // top; out-of-order drops just remove the matching entry). In the
+        // same borrow, a coarse stage marks where its parent's next stage
+        // starts, and a tail-sampled fine span checks whether its root is
+        // live on this thread, which decides where the record buffers.
         let mut root_is_local = false;
+        let stage = !s.fine && s.record.name.starts_with(STAGE_PREFIX);
         SPAN_STACK.with(|st| {
             let mut stack = st.borrow_mut();
             if let Some(pos) = stack
                 .iter()
-                .rposition(|&(t, id, _)| t == token && id == s.record.id)
+                .rposition(|l| l.token == token && l.id == s.record.id)
             {
                 stack.remove(pos);
+            }
+            if stage {
+                let parent = s.record.parent;
+                if let Some(p) = stack
+                    .iter_mut()
+                    .rev()
+                    .find(|l| l.token == token && l.id == parent)
+                {
+                    p.stage_end = Some(s.record.end_ns);
+                }
             }
             if buffer_locally {
                 root_is_local = stack
                     .iter()
                     .rev()
-                    .any(|&(t, id, _)| t == token && id == s.root);
+                    .any(|l| l.token == token && l.id == s.root);
             }
         });
         let is_root = s.record.parent == 0;
@@ -1093,6 +1146,49 @@ mod tests {
 
         // Drained means drained.
         assert!(t.drain_memory().is_empty());
+    }
+
+    #[test]
+    fn stage_spans_start_where_the_previous_stage_ended() {
+        let clock = Arc::new(VirtualClock::new());
+        let t = Tracer::with_clock_memory(Box::new(Arc::clone(&clock)));
+        let job = t.span("job");
+        clock.advance(10);
+        drop(t.span_at("stage.queue_wait", 0, job.id())); // [0, 10]
+        clock.advance(5); // work between two stages
+        {
+            let _probe = t.span("stage.cache_probe"); // [10, 20], not [15, 20]
+            clock.advance(5);
+        }
+        clock.advance(7);
+        {
+            let _pre = t.span("stage.preprocess"); // [20, 33]
+            clock.advance(3);
+            let _nested = t.span("stage.parse"); // first stage under _pre: [30, 33]
+            clock.advance(3);
+        }
+        clock.advance(4);
+        drop(t.span("journal.append")); // not a stage: [37, 37]
+        drop(t.span_fine("stage.llm")); // fine spans keep their open time
+        clock.advance(2);
+        drop(t.span("stage.render")); // [33, 39]
+        let end = t.now_ns();
+        clock.advance(9); // bookkeeping after the reading
+        job.end_at(end); // [0, 39]
+
+        let records = t.drain_memory();
+        let at = |name: &str| {
+            let r = records.iter().find(|r| r.name == name).expect(name);
+            (r.start_ns, r.end_ns)
+        };
+        assert_eq!(at("stage.queue_wait"), (0, 10));
+        assert_eq!(at("stage.cache_probe"), (10, 20));
+        assert_eq!(at("stage.preprocess"), (20, 33));
+        assert_eq!(at("stage.parse"), (30, 33));
+        assert_eq!(at("journal.append"), (37, 37));
+        assert_eq!(at("stage.render"), (33, 39));
+        assert_eq!(at("job"), (0, 39));
+        assert_eq!(crate::fold_spans(&records).coverage_min, 1.0);
     }
 
     #[test]

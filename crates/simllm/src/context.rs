@@ -31,18 +31,72 @@ pub struct Attended<'a> {
     pub retention: f64,
 }
 
-/// Approximate token count: whitespace-separated words.
+/// Approximate token count: whitespace-separated words, exactly
+/// `text.split_whitespace().count()`. ASCII text is counted by word
+/// starts, eight bytes at a time; the bytes `0x09..=0x0D` and `0x20` are
+/// exactly the ASCII characters [`char::is_whitespace`] accepts (VT and
+/// FF included, which [`u8::is_ascii_whitespace`] would miss). Text with
+/// any non-ASCII byte is split by the Unicode rules instead.
 pub fn count_tokens(text: &str) -> usize {
-    text.split_whitespace().count()
+    if !text.is_ascii() {
+        return text.split_whitespace().count();
+    }
+    let mut chunks = text.as_bytes().chunks_exact(8);
+    let mut words = 0;
+    // Whether the byte before the current one is whitespace (a word can
+    // start at the first byte).
+    let mut after_space = true;
+    for chunk in &mut chunks {
+        let space = space_mask(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        let starts = !space & HIGH_BITS & ((space << 8) | (u64::from(after_space) << 7));
+        words += starts.count_ones() as usize;
+        after_space = space >> 63 != 0;
+    }
+    for &b in chunks.remainder() {
+        let space = matches!(b, b'\t'..=b'\r' | b' ');
+        words += usize::from(after_space && !space);
+        after_space = space;
+    }
+    words
+}
+
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of each byte of `x` (eight ASCII bytes) that is
+/// whitespace: `0x09..=0x0D` or `0x20`. Per-byte sums stay below `0x100`,
+/// so no carry crosses into the next byte.
+fn space_mask(x: u64) -> u64 {
+    // b + (0x80 - lo) has its high bit set exactly when b >= lo.
+    let control = (x + LOW_BITS * (0x80 - 0x09)) & !(x + LOW_BITS * (0x80 - 0x0E));
+    // A byte of y is zero exactly when the byte of x is a space.
+    let y = x ^ (LOW_BITS * 0x20);
+    let blank = !(((y & !HIGH_BITS) + !HIGH_BITS) | y);
+    (control | blank) & HIGH_BITS
+}
+
+/// Input tokens of prompt lines: each line counts at least one token.
+pub(crate) fn line_tokens(lines: &[&str]) -> usize {
+    lines.iter().map(|l| count_tokens(l).max(1)).sum()
 }
 
 /// Apply the attention model of `profile` to `text`.
 pub fn attend<'a>(profile: &ModelProfile, text: &'a str, rng: &mut ChaCha8Rng) -> Attended<'a> {
     let lines: Vec<&str> = text.lines().collect();
-    let token_counts: Vec<usize> = lines.iter().map(|l| count_tokens(l).max(1)).collect();
-    let input_tokens: usize = token_counts.iter().sum();
-    let budget = profile.context_tokens;
+    let input_tokens = line_tokens(&lines);
+    attend_lines(profile, lines, input_tokens, rng)
+}
 
+/// [`attend`] over a prompt already split into `lines`, whose
+/// [`line_tokens`] are `input_tokens`. The RNG is drawn from, and a line
+/// can be dropped, only when the input fills more than half the budget.
+pub(crate) fn attend_lines<'a>(
+    profile: &ModelProfile,
+    lines: Vec<&'a str>,
+    input_tokens: usize,
+    rng: &mut ChaCha8Rng,
+) -> Attended<'a> {
+    let budget = profile.context_tokens;
     if input_tokens <= budget / 2 {
         // Comfortable load: everything attended.
         return Attended {
@@ -53,6 +107,7 @@ pub fn attend<'a>(profile: &ModelProfile, text: &'a str, rng: &mut ChaCha8Rng) -
         };
     }
 
+    let token_counts: Vec<usize> = lines.iter().map(|l| count_tokens(l).max(1)).collect();
     let n = lines.len();
     let mut keep = vec![true; n];
 
@@ -121,6 +176,22 @@ mod tests {
     use super::*;
     use crate::profile::profile_or_panic;
     use crate::rng::{rng_for, stable_hash};
+
+    proptest::proptest! {
+        #[test]
+        fn ascii_count_tokens_is_split_whitespace(
+            text in "[ab.\t\n\x0B\x0C\r \x1C\x1F\x08\x7F]{0,40}",
+        ) {
+            assert_eq!(count_tokens(&text), text.split_whitespace().count(), "{text:?}");
+        }
+
+        #[test]
+        fn unicode_count_tokens_is_split_whitespace(
+            text in "[a \t\x0B\u{85}\u{a0}\u{2028}\u{3000}\u{1680}\u{200B}\u{FEFF}]{0,24}",
+        ) {
+            assert_eq!(count_tokens(&text), text.split_whitespace().count(), "{text:?}");
+        }
+    }
 
     #[test]
     fn short_input_fully_attended() {

@@ -195,57 +195,66 @@ impl SimLlm {
     /// text, per-call cost — without latency, faults, or usage. Every
     /// delivery attempt of the request shares this content, because
     /// content draws are keyed by (model, prompt, salt), never by lane.
+    /// A batch of one [`SimLlm::prepare_all`].
     pub fn prepare(&self, request: &CompletionRequest) -> Prepared<'_> {
-        self.prepare_under(request, ioobserve::tracer().current_span_id())
+        self.prepare_all(std::slice::from_ref(request))
+            .pop()
+            .expect("one prepared call per request")
     }
 
-    /// [`SimLlm::prepare`] every request, split across the current shim
-    /// pool (content generation is the CPU part of a call), in request
-    /// order. Every attempt span parents on the caller's current span,
-    /// whichever pool thread prepared the request.
+    /// [`SimLlm::prepare`] every request, in request order.
+    ///
+    /// A batch's prompts often start alike: the 15 self-reflection
+    /// prompts of one retrieval share everything up to their SOURCE text.
+    /// The whole lines every prompt of the batch starts with are worked
+    /// once, on the calling thread: their hash state, lines, token count,
+    /// task line and, for `filter`, section scan and FRAGMENT token set.
+    /// Each call then works only its own suffix, split across the current
+    /// shim pool (content generation is the CPU part of a call). Nothing
+    /// outlives the call. The result is byte-identical to working each
+    /// prompt whole. Every attempt span parents on the caller's current
+    /// span, whichever pool thread prepared the request.
     pub fn prepare_all(&self, requests: &[CompletionRequest]) -> Vec<Prepared<'_>> {
         let parent_span = ioobserve::tracer().current_span_id();
+        let mut lower = Vec::new();
+        let prefix = SharedPrefix::of(requests, &mut lower);
         requests
             .par_iter()
-            .map(|request| self.prepare_under(request, parent_span))
+            .map(|request| self.prepare_under(request, &prefix, parent_span))
             .collect()
     }
 
-    fn prepare_under(&self, request: &CompletionRequest, parent_span: u64) -> Prepared<'_> {
+    fn prepare_under(
+        &self,
+        request: &CompletionRequest,
+        prefix: &SharedPrefix<'_>,
+        parent_span: u64,
+    ) -> Prepared<'_> {
         let started = Instant::now();
-        let prompt = format!("{}\n{}", request.system, request.user);
-        let prompt_hash = rng::stable_hash(&prompt);
+        let prompt = Prompt::of(request);
+        let prompt_hash = prompt.hash(prefix.hash, prefix.len, prompt.len());
         let mut rng = rng::rng_for(self.profile.name, prompt_hash, request.salt);
-        let attended = context::attend(self.profile, &prompt, &mut rng);
+        let mut lines = Vec::with_capacity(prefix.lines.len() + 4);
+        lines.extend_from_slice(&prefix.lines);
+        prompt.push_lines(prefix.len, prompt.len(), &mut lines);
+        let input_tokens = prefix.tokens + context::line_tokens(&lines[prefix.lines.len()..]);
+        let attended = context::attend_lines(self.profile, lines, input_tokens, &mut rng);
 
-        let task = tasks::parse_task(&attended.lines).unwrap_or_else(|| "diagnose".to_string());
-        let load =
-            (attended.input_tokens as f64 / self.profile.context_tokens as f64).clamp(0.0, 1.0);
-        let text = match task.as_str() {
-            "diagnose" => tasks::diagnose(self.profile, &attended.lines, load, &mut rng),
-            "transform" => tasks::transform(self.profile, &attended.lines),
-            "merge" => tasks::merge(self.profile, &attended.lines, &mut rng),
-            "filter" => tasks::filter(self.profile, &attended.lines, &mut rng),
-            "rank" => tasks::rank(self.profile, &attended.lines, &mut rng),
-            "chat" => tasks::chat(self.profile, &attended.lines, &mut rng),
-            _ => format!("I could not identify the task '{task}' in the prompt."),
+        // The prefix's parse holds only while attention kept every line.
+        let (known, task, filter_prefix) = match attended.truncated {
+            false => (prefix.lines.len(), prefix.task.as_deref(), &prefix.filter),
+            true => (0, None, &tasks::FilterPrefix::default()),
         };
-
-        let output_tokens = context::count_tokens(&text);
-        let cost_usd =
-            (attended.input_tokens + output_tokens) as f64 / 1.0e6 * self.profile.cost_per_mtok;
+        let task = match task {
+            Some(task) => task.to_string(),
+            None => tasks::parse_task(&attended.lines[known..])
+                .unwrap_or_else(|| "diagnose".to_string()),
+        };
         Prepared {
             model: self,
             prompt_hash,
             salt: request.salt,
-            completion: Completion {
-                text,
-                input_tokens: attended.input_tokens,
-                output_tokens,
-                truncated: attended.truncated,
-                retention: attended.retention,
-                cost_usd,
-            },
+            completion: respond(self.profile, &attended, &task, filter_prefix, &mut rng),
             task,
             parent_span,
             started,
@@ -263,6 +272,179 @@ impl SimLlm {
         usage.cost_usd =
             (usage.input_tokens + usage.output_tokens) as f64 / 1.0e6 * self.profile.cost_per_mtok;
         usage
+    }
+}
+
+/// Run `task` over the attended prompt lines and price the answer.
+/// `filter` is what the `filter` task may take from the lines the
+/// batch's prompts share.
+fn respond(
+    profile: &ModelProfile,
+    attended: &context::Attended<'_>,
+    task: &str,
+    filter: &tasks::FilterPrefix<'_>,
+    rng: &mut rand_chacha::ChaCha8Rng,
+) -> Completion {
+    let lines = &attended.lines;
+    let load = (attended.input_tokens as f64 / profile.context_tokens as f64).clamp(0.0, 1.0);
+    let text = match task {
+        "diagnose" => tasks::diagnose(profile, lines, load, rng),
+        "transform" => tasks::transform(profile, lines),
+        "merge" => tasks::merge(profile, lines, rng),
+        "filter" => tasks::filter(profile, lines, filter, rng),
+        "rank" => tasks::rank(profile, lines, rng),
+        "chat" => tasks::chat(profile, lines, rng),
+        _ => format!("I could not identify the task '{task}' in the prompt."),
+    };
+    let output_tokens = context::count_tokens(&text);
+    let cost_usd = (attended.input_tokens + output_tokens) as f64 / 1.0e6 * profile.cost_per_mtok;
+    Completion {
+        text,
+        input_tokens: attended.input_tokens,
+        output_tokens,
+        truncated: attended.truncated,
+        retention: attended.retention,
+        cost_usd,
+    }
+}
+
+/// A request's prompt, `system + "\n" + user`, read as one byte stream
+/// without copying it.
+#[derive(Clone, Copy)]
+struct Prompt<'a> {
+    system: &'a str,
+    user: &'a str,
+}
+
+impl<'a> Prompt<'a> {
+    fn of(request: &'a CompletionRequest) -> Self {
+        Prompt {
+            system: &request.system,
+            user: &request.user,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.system.len() + 1 + self.user.len()
+    }
+
+    /// The stream's bytes `from..to` as three pieces: system prompt,
+    /// separator, user prompt (each possibly empty).
+    fn pieces(&self, from: usize, to: usize) -> [&'a [u8]; 3] {
+        let (system, user) = (self.system.as_bytes(), self.user.as_bytes());
+        let s = system.len();
+        let separator: &[u8] = if from <= s && s < to { b"\n" } else { b"" };
+        [
+            &system[from.min(s)..to.min(s)],
+            separator,
+            &user[from.max(s + 1) - s - 1..to.max(s + 1) - s - 1],
+        ]
+    }
+
+    /// Length of a byte prefix this stream shares with `other`: through
+    /// the user prompts when the system prompts are equal, else within
+    /// the system prompts (shorter than the longest common prefix when
+    /// one system prompt starts the other, which costs only sharing).
+    fn common_prefix(&self, other: &Prompt<'_>) -> usize {
+        if self.system != other.system {
+            return common_len(self.system.as_bytes(), other.system.as_bytes());
+        }
+        self.system.len() + 1 + common_len(self.user.as_bytes(), other.user.as_bytes())
+    }
+
+    /// The start of the line holding byte `at`: just past the last `\n`
+    /// before it, or 0.
+    fn line_start(&self, at: usize) -> usize {
+        let [system, separator, user] = self.pieces(0, at);
+        let last_newline = |piece: &[u8]| piece.iter().rposition(|&b| b == b'\n');
+        match last_newline(user) {
+            Some(i) => system.len() + 1 + i + 1,
+            None if !separator.is_empty() => system.len() + 1,
+            None => last_newline(system).map_or(0, |i| i + 1),
+        }
+    }
+
+    /// FNV-1a of the stream's bytes `from..to`, continued from `state`,
+    /// the hash of the bytes before `from`.
+    fn hash(&self, state: u64, from: usize, to: usize) -> u64 {
+        self.pieces(from, to)
+            .iter()
+            .fold(state, |h, piece| rng::fnv1a_from(h, piece))
+    }
+
+    /// Push the lines of the stream's bytes `from..to`, both line starts
+    /// (or `to` the end): what `str::lines` gives for that part of the
+    /// joined prompt. The separator ends the system prompt's last line.
+    fn push_lines(&self, from: usize, to: usize, out: &mut Vec<&'a str>) {
+        let s = self.system.len();
+        if to <= s {
+            out.extend(self.system[from..to].lines());
+        } else if from <= s {
+            let system = self.system[from..].split('\n');
+            out.extend(system.map(|l| l.strip_suffix('\r').unwrap_or(l)));
+            out.extend(self.user[..to - s - 1].lines());
+        } else {
+            out.extend(self.user[from - s - 1..to - s - 1].lines());
+        }
+    }
+}
+
+/// Length of the common prefix of two byte strings.
+fn common_len(x: &[u8], y: &[u8]) -> usize {
+    x.iter().zip(y).take_while(|(a, b)| a == b).count()
+}
+
+/// What every prompt of one [`SimLlm::prepare_all`] batch shares: its
+/// whole leading lines, worked once. Lives only for that call.
+struct SharedPrefix<'a> {
+    /// Bytes of the shared lines; each call's own work starts here.
+    len: usize,
+    /// FNV-1a state after those bytes.
+    hash: u64,
+    lines: Vec<&'a str>,
+    /// [`context::line_tokens`] of `lines`.
+    tokens: usize,
+    /// The task, when its `### TASK:` line is among `lines`.
+    task: Option<String>,
+    /// The section scan and FRAGMENT token set of `filter` prompts.
+    filter: tasks::FilterPrefix<'a>,
+}
+
+impl<'a> SharedPrefix<'a> {
+    /// The shared prefix of `requests`: a byte prefix common to all
+    /// their prompts, cut back to a line start. Non-ASCII FRAGMENT text
+    /// is lower-cased into `lower`.
+    fn of(requests: &'a [CompletionRequest], lower: &'a mut Vec<u8>) -> Self {
+        let Some(first) = requests.first().map(Prompt::of) else {
+            return SharedPrefix {
+                len: 0,
+                hash: rng::FNV_OFFSET,
+                lines: Vec::new(),
+                tokens: 0,
+                task: None,
+                filter: tasks::FilterPrefix::default(),
+            };
+        };
+        let common = requests[1..]
+            .iter()
+            .map(|r| first.common_prefix(&Prompt::of(r)))
+            .fold(first.len(), usize::min);
+        let len = first.line_start(common);
+        let mut lines = Vec::new();
+        first.push_lines(0, len, &mut lines);
+        let task = tasks::parse_task(&lines);
+        let filter = match task.as_deref() {
+            Some("filter") => tasks::FilterPrefix::new(&lines, lower),
+            _ => tasks::FilterPrefix::default(),
+        };
+        SharedPrefix {
+            len,
+            hash: first.hash(rng::FNV_OFFSET, 0, len),
+            tokens: context::line_tokens(&lines),
+            lines,
+            task,
+            filter,
+        }
     }
 }
 
@@ -575,6 +757,199 @@ mod tests {
         assert_eq!(flaky.complete_all(&requests), plain.complete_all(&requests));
         assert_eq!(flaky.usage(), plain.usage());
         assert!(flaky.complete_all(&[]).is_empty());
+    }
+
+    /// The per-prompt path a batch must reproduce byte for byte: join
+    /// the prompt, then hash, split, attend and answer it whole, with no
+    /// shared prefix.
+    fn whole_prompt(model: &str, request: &CompletionRequest) -> Completion {
+        let profile = profile_or_panic(model);
+        let prompt = format!("{}\n{}", request.system, request.user);
+        let mut rng = rng::rng_for(model, rng::stable_hash(&prompt), request.salt);
+        let attended = context::attend(profile, &prompt, &mut rng);
+        let task = tasks::parse_task(&attended.lines).unwrap_or_else(|| "diagnose".to_string());
+        let none = tasks::FilterPrefix::default();
+        respond(profile, &attended, &task, &none, &mut rng)
+    }
+
+    /// Batches built to stress the shared-prefix path: a shared head cut
+    /// at any character (mid-line too) with per-request tails, section
+    /// headers and task lines inside queries, CRLF endings, systems that
+    /// end in `\r` or `\n`, VT/FF and Unicode whitespace (U+0085, U+00A0,
+    /// U+2028, U+3000), prompts past half of o1-preview's context budget,
+    /// batches of 0 and 1, and batches with no common prefix.
+    struct Batches;
+
+    impl proptest::Strategy for Batches {
+        type Value = (&'static str, Vec<CompletionRequest>);
+
+        fn generate(&self, gen: &mut proptest::Gen) -> Self::Value {
+            const MODELS: [&str; 2] = ["o1-preview", "gpt-4o-mini"];
+            const SYSTEMS: [&str; 7] = [
+                "Decide whether the source is relevant to the fragment.",
+                "",
+                "sys\r",
+                "sys\n",
+                "two\nlines",
+                "crlf\r\n",
+                "\u{3000}wide",
+            ];
+            const WORDS: [&str; 24] = [
+                "small",
+                "Writes",
+                "STRIPE",
+                "\u{212A}ernel",
+                "i/o",
+                "1MB",
+                "a",
+                "of",
+                "\u{85}",
+                "\u{a0}",
+                "\u{2028}",
+                "\u{3000}",
+                "\x0B",
+                "\x0C",
+                "\t",
+                "\x1C",
+                "\r",
+                "write",
+                "bandwidth",
+                "\u{0130}NDEX",
+                "small",
+                "writes",
+                "stripe",
+                "kernel",
+            ];
+            const LINES: [&str; 9] = [
+                "## SOURCE",
+                "## FRAGMENT",
+                "## \u{17F}ource 2",
+                "  ## fragment  ",
+                "### TASK: filter",
+                "### TASK: Diagnose",
+                "## NOTES",
+                "",
+                "EVIDENCE nprocs=8",
+            ];
+            fn pick<'a>(gen: &mut proptest::Gen, list: &[&'a str]) -> &'a str {
+                list[gen.below(list.len() as u64) as usize]
+            }
+            fn text(gen: &mut proptest::Gen, max_lines: u64) -> String {
+                let mut out = String::new();
+                for _ in 0..gen.below(max_lines + 1) {
+                    if gen.below(4) == 0 {
+                        out.push_str(pick(gen, &LINES));
+                    } else {
+                        for w in 0..1 + gen.below(8) {
+                            if w > 0 {
+                                out.push_str(pick(gen, &[" ", " ", "  ", "\t", ", "]));
+                            }
+                            out.push_str(pick(gen, &WORDS));
+                        }
+                    }
+                    out.push_str(pick(gen, &["\n", "\n", "\r\n"]));
+                }
+                out
+            }
+            // About 2 100 tokens: past o1-preview's 2 000-token half budget.
+            fn padding(gen: &mut proptest::Gen) -> String {
+                match gen.below(6) {
+                    0 => (0..700).map(|i| format!("pad {i} x\n")).collect(),
+                    _ => String::new(),
+                }
+            }
+
+            let model = pick(gen, &MODELS);
+            let size = gen.below(7) as usize;
+            let shared = gen.below(5) != 0;
+            let system = pick(gen, &SYSTEMS);
+            let mut head = match gen.below(4) {
+                0 | 1 => format!("### TASK: filter\n## FRAGMENT\n{}## SOURCE\n", text(gen, 3)),
+                2 => format!("{}{}", text(gen, 4), padding(gen)),
+                _ => text(gen, 2),
+            };
+            if gen.below(3) == 0 {
+                let cut = gen.below(head.len() as u64 + 1) as usize;
+                let cut = (0..=cut)
+                    .rev()
+                    .find(|&c| head.is_char_boundary(c))
+                    .unwrap_or(0);
+                head.truncate(cut);
+            }
+            let requests = (0..size)
+                .map(|_| {
+                    let tail = format!("{}{}", text(gen, 3), padding(gen));
+                    let (system, user) = if shared {
+                        (system, format!("{head}{tail}"))
+                    } else {
+                        (pick(gen, &SYSTEMS), tail)
+                    };
+                    let user = match gen.below(4) {
+                        0 => user.trim_end_matches('\n').to_string(),
+                        _ => user,
+                    };
+                    CompletionRequest::new(system, user).with_salt(gen.below(3))
+                })
+                .collect();
+            (model, requests)
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_prompt_stream_reads_as_the_joined_prompt(
+            system in "[ab\r\n ]{0,8}",
+            user in "[ab\r\n ]{0,8}",
+        ) {
+            let request = CompletionRequest::new(system, user);
+            let prompt = Prompt::of(&request);
+            let joined = format!("{}\n{}", request.system, request.user);
+            assert_eq!(prompt.len(), joined.len());
+            for at in 0..=joined.len() {
+                let start = joined[..at].rfind('\n').map_or(0, |i| i + 1);
+                assert_eq!(prompt.line_start(at), start, "{joined:?} at {at}");
+            }
+            for split in (0..=joined.len()).filter(|&i| i == 0 || joined.as_bytes()[i - 1] == b'\n') {
+                let mut lines = Vec::new();
+                prompt.push_lines(0, split, &mut lines);
+                prompt.push_lines(split, prompt.len(), &mut lines);
+                assert_eq!(lines, joined.lines().collect::<Vec<_>>(), "{joined:?} split at {split}");
+                let head = prompt.hash(rng::FNV_OFFSET, 0, split);
+                assert_eq!(head, rng::stable_hash(&joined[..split]));
+                assert_eq!(prompt.hash(head, split, prompt.len()), rng::stable_hash(&joined));
+            }
+        }
+
+        #[test]
+        fn a_batch_answers_each_request_as_a_call_of_its_own(case in Batches) {
+            let (model, requests) = case;
+            let batch = SimLlm::new(model).complete_all(&requests);
+            let single = SimLlm::new(model);
+            for (i, request) in requests.iter().enumerate() {
+                assert_eq!(batch[i], single.complete(request), "{model} {request:?}");
+                assert_eq!(batch[i], whole_prompt(model, request), "{model} {request:?}");
+            }
+            assert_eq!(batch.len(), requests.len());
+
+            // The hash seeds every attempt draw: lanes 0, 1 and the hedge
+            // lane must draw alike from a batch and from a single call.
+            let faulty = SimLlm::new(model).with_fault_plan(flaky_plan().with_tail(TailSpec {
+                probability: 0.5,
+                lognormal_sigma: 1.0,
+                median_multiplier: 8.0,
+                pareto_alpha: 1.5,
+                pareto_weight: 0.3,
+                max_multiplier: 50.0,
+            }));
+            for (prepared, request) in faulty.prepare_all(&requests).iter().zip(&requests) {
+                let joined = format!("{}\n{}", request.system, request.user);
+                assert_eq!(prepared.prompt_hash, rng::stable_hash(&joined));
+                let alone = faulty.prepare(request);
+                for lane in [0, 1, 0x8000_0000] {
+                    assert_eq!(prepared.draw(lane), alone.draw(lane), "lane {lane}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,12 +12,23 @@ pub fn stable_hash(s: &str) -> u64 {
     fnv1a(s.as_bytes())
 }
 
+/// The FNV-1a 64-bit state before any byte: [`fnv1a`] of nothing.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit multiplier.
+pub(crate) const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
 /// FNV-1a 64-bit over raw bytes ([`stable_hash`] of a `&str`'s bytes).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a state over `bytes`. FNV-1a is a left fold, so
+/// `fnv1a_from(fnv1a(a), b) == fnv1a(a ++ b)`: a prompt's hash can start
+/// from the state at the end of a prefix it shares with others.
+pub(crate) fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }

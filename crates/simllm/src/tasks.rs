@@ -10,10 +10,11 @@ use crate::evidence::{keys as K, Evidence};
 use crate::iokb;
 use crate::profile::ModelProfile;
 use crate::quality;
-use crate::rng::{fnv1a, noise};
+use crate::rng::{noise, FNV_OFFSET, FNV_PRIME};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use tracebench::IssueLabel;
 
 /// A parsed prompt section: header line remainder plus body lines, both
@@ -35,18 +36,22 @@ pub fn parse_task(lines: &[&str]) -> Option<String> {
     })
 }
 
+/// The header text of a `## <header>` line, if `line` is one.
+fn header_of(line: &str) -> Option<&str> {
+    line.trim().strip_prefix("## ").map(str::trim)
+}
+
 /// Split attended lines into sections.
 pub fn parse_sections<'a>(lines: &[&'a str]) -> Vec<Section<'a>> {
     let mut out: Vec<Section<'a>> = Vec::new();
     for line in lines {
-        let t = line.trim_end();
-        if let Some(h) = t.trim_start().strip_prefix("## ") {
+        if let Some(header) = header_of(line) {
             out.push(Section {
-                header: h.trim(),
+                header,
                 body: Vec::new(),
             });
         } else if let Some(cur) = out.last_mut() {
-            cur.body.push(t);
+            cur.body.push(line.trim_end());
         }
     }
     out
@@ -393,71 +398,233 @@ fn strip_refs(line: &str) -> String {
 // filter (self-reflection relevance judgement)
 // ---------------------------------------------------------------------------
 
-/// Token-set cosine similarity between two texts, each given as lines.
-///
-/// A token is a run of more than two ASCII alphanumeric bytes in the
-/// lower-cased text; a line break separates tokens as a space would. The
-/// set is exact: it is keyed by (FNV hash, bytes), so a hash collision
-/// still compares unequal. Non-ASCII text takes the same path: it is
-/// lower-cased by the Unicode rules (`K`, U+212A, becomes `k`), and its
-/// multi-byte sequences, whose bytes are all non-alphanumeric, split
-/// tokens like any other separator.
-fn overlap(a: &[&str], b: &[&str]) -> f64 {
-    let (mut lower_a, mut lower_b) = (Vec::new(), Vec::new());
-    let ta = token_set(a, &mut lower_a);
-    let tb = token_set(b, &mut lower_b);
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    // Both sets are sorted and deduplicated: count the intersection with
-    // one merge walk.
-    let (mut i, mut j, mut inter) = (0, 0, 0usize);
-    while i < ta.len() && j < tb.len() {
-        match ta[i].cmp(&tb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
+/// The filter task's two inputs, indices into [`FilterScan::bodies`].
+const FRAGMENT: usize = 0;
+const SOURCE: usize = 1;
+const FILTER_SECTIONS: [&str; 2] = ["FRAGMENT", "SOURCE"];
+
+/// Where the filter task's inputs stand after a run of prompt lines: the
+/// body line ranges of the first `## FRAGMENT` and the first `## SOURCE`
+/// section, as [`parse_sections`] would find them. A body still open at
+/// the last line scanned ends at `usize::MAX` until a header closes it,
+/// so scanning a prompt in two parts finds what scanning it whole does,
+/// wherever the headers fall.
+#[derive(Debug, Clone, Default)]
+struct FilterScan {
+    /// Lines scanned so far.
+    lines: usize,
+    bodies: [Option<Range<usize>>; 2],
+}
+
+impl FilterScan {
+    /// Scan the prompt's next lines.
+    fn feed(&mut self, lines: &[&str]) {
+        for line in lines {
+            let i = self.lines;
+            self.lines += 1;
+            let Some(header) = header_of(line) else {
+                continue;
+            };
+            for body in self.bodies.iter_mut().flatten() {
+                body.end = body.end.min(i);
+            }
+            for (body, name) in self.bodies.iter_mut().zip(FILTER_SECTIONS) {
+                if body.is_none() && header_is(header, name) {
+                    *body = Some(i + 1..usize::MAX);
+                }
             }
         }
     }
-    inter as f64 / ((ta.len() as f64).sqrt() * (tb.len() as f64).sqrt())
-}
 
-/// The sorted, deduplicated `(hash, token)` set of `lines`, lower-cased
-/// into `lower`. ASCII text needs exactly two allocations, however many
-/// tokens it holds: `lower` and the set, both sized up front (a token of
-/// three or more bytes plus its separator takes at least four bytes).
-fn token_set<'b>(lines: &[&str], lower: &'b mut Vec<u8>) -> Vec<(u64, &'b [u8])> {
-    lower.reserve(lines.iter().map(|l| l.len() + 1).sum());
-    for line in lines {
-        if line.is_ascii() {
-            lower.extend(line.bytes().map(|b| b.to_ascii_lowercase()));
-        } else {
-            lower.extend_from_slice(line.to_lowercase().as_bytes());
-        }
-        lower.push(b'\n');
+    /// Input `k`'s body lines: empty when its section is missing, and
+    /// running to the end of `lines` when no header closed it.
+    fn body<'l, 'a>(&self, k: usize, lines: &'l [&'a str]) -> &'l [&'a str] {
+        self.bodies[k]
+            .as_ref()
+            .map_or(&[], |b| &lines[b.start..b.end.min(lines.len())])
     }
-    let lower: &'b [u8] = lower;
-    let mut set = Vec::with_capacity(lower.len() / 4 + 1);
-    set.extend(
-        lower
-            .split(|b| !b.is_ascii_alphanumeric())
-            .filter(|t| t.len() > 2)
-            .map(|t| (fnv1a(t), t)),
-    );
-    set.sort_unstable();
-    set.dedup();
-    set
 }
 
-/// Run the relevance-filter task: is SOURCE useful for FRAGMENT?
-pub fn filter(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
-    let sections = parse_sections(lines);
-    let body = |name| section(&sections, name).map_or(&[][..], |s| &s.body[..]);
-    let sim = overlap(body("FRAGMENT"), body("SOURCE"));
+/// What the filter task takes from the prompt prefix every call of a
+/// batch shares: the section scan of the prefix's lines and, when the
+/// FRAGMENT section closes inside the prefix, its token set, built once
+/// for the whole batch. The default covers no lines.
+#[derive(Debug, Default)]
+pub struct FilterPrefix<'a> {
+    scan: FilterScan,
+    fragment: Option<TokenSet<'a>>,
+}
+
+impl<'a> FilterPrefix<'a> {
+    /// The state after `lines`, the whole lines the batch's prompts start
+    /// with. Non-ASCII FRAGMENT text is lower-cased into `lower`.
+    pub fn new(lines: &[&'a str], lower: &'a mut Vec<u8>) -> Self {
+        let mut scan = FilterScan::default();
+        scan.feed(lines);
+        let closed = scan.bodies[FRAGMENT]
+            .as_ref()
+            .is_some_and(|b| b.end != usize::MAX);
+        let fragment = closed.then(|| TokenSet::new(scan.body(FRAGMENT, lines), lower));
+        FilterPrefix { scan, fragment }
+    }
+}
+
+/// A set of distinct tokens, each kept with its FNV hash.
+///
+/// A token is a run of more than two ASCII alphanumeric bytes in the
+/// lower-cased text; a line break separates tokens as a space would. An
+/// ASCII line is lower-cased, split and hashed in one pass, and its
+/// tokens borrow the line's own bytes in their original case. The set is
+/// exact: tokens whose hashes tie are compared by their lower-cased
+/// bytes, so a hash collision still compares unequal. A non-ASCII line is
+/// lower-cased by the Unicode rules first (`K`, U+212A, becomes `k`), and
+/// its multi-byte sequences, whose bytes are all non-alphanumeric, split
+/// tokens like any other separator.
+#[derive(Debug)]
+struct TokenSet<'a> {
+    /// The distinct tokens, in first-seen order.
+    tokens: Vec<(u64, &'a [u8])>,
+    /// Open-addressing index over `tokens`, a power of two long and at
+    /// most half full: a slot holds 1 + a token's index, or 0 when free.
+    slots: Vec<usize>,
+}
+
+impl<'a> TokenSet<'a> {
+    /// The set of `lines`; non-ASCII lines are lower-cased into `lower`.
+    /// ASCII text needs two allocations, sized up front (a token of three
+    /// or more bytes plus its separator takes at least four bytes).
+    fn new(lines: &[&'a str], lower: &'a mut Vec<u8>) -> Self {
+        let bytes: usize = lines.iter().map(|l| l.len() + 1).sum();
+        let mut tokens = Vec::with_capacity(bytes / 4 + 1);
+        for line in lines {
+            if line.is_ascii() {
+                push_tokens(line.as_bytes(), &mut tokens);
+            } else {
+                lower.extend_from_slice(line.to_lowercase().as_bytes());
+                lower.push(b'\n');
+            }
+        }
+        let lower: &'a [u8] = lower;
+        push_tokens(lower, &mut tokens);
+
+        // Keep each token's first occurrence, compacting in place.
+        let mut set = TokenSet {
+            slots: vec![0; (2 * tokens.len()).next_power_of_two().max(2)],
+            tokens: Vec::new(),
+        };
+        let mut distinct = 0;
+        for i in 0..tokens.len() {
+            let (hash, token) = tokens[i];
+            if let Err(slot) = set.find(&tokens[..distinct], hash, token) {
+                set.slots[slot] = distinct + 1;
+                tokens[distinct] = (hash, token);
+                distinct += 1;
+            }
+        }
+        tokens.truncate(distinct);
+        set.tokens = tokens;
+        set
+    }
+
+    /// Probe for `token`: `Ok` if one of `tokens` (the set's) equals it,
+    /// else `Err` with the free slot where it belongs.
+    fn find(&self, tokens: &[(u64, &[u8])], hash: u64, token: &[u8]) -> Result<(), usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                i => {
+                    let (h, t) = tokens[i - 1];
+                    if h == hash && t.eq_ignore_ascii_case(token) {
+                        return Ok(());
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Token-set cosine similarity: the tokens the two sets share (each
+    /// token of the smaller set looked up in the larger) over the
+    /// geometric mean of their sizes; 0 when either set is empty.
+    fn cosine(&self, other: &TokenSet<'_>) -> f64 {
+        let (a, b) = (self.tokens.len(), other.tokens.len());
+        if a == 0 || b == 0 {
+            return 0.0;
+        }
+        let inter = {
+            let (small, large) = if a <= b {
+                (&self.tokens, other)
+            } else {
+                (&other.tokens, self)
+            };
+            small
+                .iter()
+                .filter(|(hash, token)| large.find(&large.tokens, *hash, token).is_ok())
+                .count()
+        };
+        inter as f64 / ((a as f64).sqrt() * (b as f64).sqrt())
+    }
+}
+
+/// Each byte lower-cased if it is ASCII alphanumeric, else 0.
+static ALNUM_LOWER: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        if (b as u8).is_ascii_alphanumeric() {
+            table[b] = (b as u8).to_ascii_lowercase();
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Push the `(hash, token)` pairs of `text`, hashing each token's
+/// lower-cased bytes as the split finds them.
+fn push_tokens<'a>(text: &'a [u8], tokens: &mut Vec<(u64, &'a [u8])>) {
+    let mut start = 0;
+    let mut h = FNV_OFFSET;
+    for (i, &b) in text.iter().enumerate() {
+        match ALNUM_LOWER[usize::from(b)] {
+            0 => {
+                if i - start > 2 {
+                    tokens.push((h, &text[start..i]));
+                }
+                start = i + 1;
+                h = FNV_OFFSET;
+            }
+            lower => h = (h ^ u64::from(lower)).wrapping_mul(FNV_PRIME),
+        }
+    }
+    if text.len() - start > 2 {
+        tokens.push((h, &text[start..]));
+    }
+}
+
+/// Run the relevance-filter task: is SOURCE useful for FRAGMENT? `lines`
+/// start with the lines `prefix` was built from
+/// ([`FilterPrefix::default`] when none); only the rest are scanned.
+pub fn filter(
+    profile: &ModelProfile,
+    lines: &[&str],
+    prefix: &FilterPrefix<'_>,
+    rng: &mut ChaCha8Rng,
+) -> String {
+    let mut scan = prefix.scan.clone();
+    scan.feed(&lines[scan.lines..]);
+    let (mut fragment_lower, mut source_lower) = (Vec::new(), Vec::new());
+    let built;
+    let fragment = match &prefix.fragment {
+        Some(set) => set,
+        None => {
+            built = TokenSet::new(scan.body(FRAGMENT, lines), &mut fragment_lower);
+            &built
+        }
+    };
+    let source = TokenSet::new(scan.body(SOURCE, lines), &mut source_lower);
+    let sim = fragment.cosine(&source);
     // Weaker models judge relevance more noisily.
     let amp = 0.02 + (1.0 - profile.capability) * 0.08;
     let score = sim + noise(rng, amp);
@@ -827,15 +994,64 @@ mod tests {
         let r = filter(
             p,
             &lines(related),
+            &FilterPrefix::default(),
             &mut rng_for("m", stable_hash(related), 0),
         );
         let u = filter(
             p,
             &lines(unrelated),
+            &FilterPrefix::default(),
             &mut rng_for("m", stable_hash(unrelated), 0),
         );
         assert!(r.starts_with("RELEVANT"), "{r}");
         assert!(u.starts_with("IRRELEVANT"), "{u}");
+    }
+
+    /// The filter task as sections and string sets define it: the first
+    /// FRAGMENT and SOURCE sections of [`parse_sections`], scored by
+    /// [`overlap_oracle`].
+    fn filter_oracle(profile: &ModelProfile, lines: &[&str], rng: &mut ChaCha8Rng) -> String {
+        let sections = parse_sections(lines);
+        let body = |name| section(&sections, name).map_or(String::new(), |s| s.body.join(" "));
+        let sim = overlap_oracle(&body("FRAGMENT"), &body("SOURCE"));
+        let amp = 0.02 + (1.0 - profile.capability) * 0.08;
+        let score = sim + noise(rng, amp);
+        if score > 0.12 {
+            format!("RELEVANT (similarity signal {score:.2}): the source discusses concepts present in the fragment.")
+        } else {
+            format!("IRRELEVANT (similarity signal {score:.2}): the source does not bear on the fragment's behaviour.")
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn filter_is_the_oracle_from_a_prefix_ending_at_any_line(
+            picks in proptest::collection::vec(0usize..12, 0..10),
+        ) {
+            const LINES: [&str; 12] = [
+                "## FRAGMENT",
+                "## SOURCE",
+                "  ## fragment 2 ",
+                "## \u{17F}ource",
+                "## NOTES",
+                "### TASK: filter",
+                "small writes below 1 MB",
+                "Small \u{212A}ernel WRITES",
+                "stripe width bandwidth",
+                "",
+                "##SOURCE",
+                "writes, writes; small",
+            ];
+            let p = profile_or_panic("gpt-4o-mini");
+            let all: Vec<&str> = picks.iter().map(|&i| LINES[i]).collect();
+            let want = filter_oracle(p, &all, &mut rng_for("m", 7, 0));
+            for k in 0..=all.len() {
+                let mut lower = Vec::new();
+                let prefix = FilterPrefix::new(&all[..k], &mut lower);
+                let got = filter(p, &all, &prefix, &mut rng_for("m", 7, 0));
+                assert_eq!(got, want, "{all:?} split after {k} lines");
+            }
+        }
     }
 
     #[test]
@@ -890,6 +1106,12 @@ mod tests {
         let outp = chat(p, &l, &mut rng_for("gpt-4o", stable_hash("q"), 0));
         assert!(outp.contains("lfs setstripe -S 4M"), "{outp}");
         assert!(outp.contains("Reference: [Striping Decisions, SC 2021]"));
+    }
+
+    /// Token-set cosine similarity of two texts, each given as lines.
+    fn overlap(a: &[&str], b: &[&str]) -> f64 {
+        let (mut lower_a, mut lower_b) = (Vec::new(), Vec::new());
+        TokenSet::new(a, &mut lower_a).cosine(&TokenSet::new(b, &mut lower_b))
     }
 
     /// The set-of-strings definition [`overlap`] must reproduce bit for

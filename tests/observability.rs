@@ -98,6 +98,7 @@ fn tracing_is_invisible_to_diagnoses_and_attributes_job_time() {
         "stage.llm",
         "stage.merge",
         "stage.render",
+        "stage.reply",
     ] {
         assert!(
             stage_names.contains(&expected),
