@@ -14,6 +14,9 @@
 //! ```sh
 //! RAYON_NUM_THREADS=1 cargo bench -p ioagent-bench --bench reflection
 //! ```
+//!
+//! `--test` (as `cargo bench -- --test` passes it) replays one round
+//! instead of seven, still after the check against the recorded verdicts.
 
 use ioagent_core::{transform, Retriever};
 use simllm::{Completion, CompletionRequest, LanguageModel, ModelProfile, SimLlm};
@@ -58,6 +61,8 @@ impl LanguageModel for Recorder {
 }
 
 fn main() {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    let rounds = if test_mode { 1 } else { ROUNDS };
     let suite = TraceBench::generate();
     let retriever = Retriever::build();
     let recorder = Recorder {
@@ -89,8 +94,8 @@ fn main() {
             "replay diverged from the recorded verdicts"
         );
     }
-    let mut rounds_ns = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
+    let mut rounds_ns = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
         let started = Instant::now();
         for (requests, _) in &batches {
             black_box(model.complete_all(black_box(requests)));
@@ -106,9 +111,9 @@ fn main() {
         rayon::current_num_threads()
     );
     println!(
-        "per call: best {:.3} us, median {:.3} us, worst {:.3} us over {ROUNDS} rounds",
+        "per call: best {:.3} us, median {:.3} us, worst {:.3} us over {rounds} rounds",
         per_call_us(rounds_ns[0]),
-        per_call_us(rounds_ns[ROUNDS / 2]),
-        per_call_us(rounds_ns[ROUNDS - 1])
+        per_call_us(rounds_ns[rounds / 2]),
+        per_call_us(rounds_ns[rounds - 1])
     );
 }

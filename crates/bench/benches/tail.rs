@@ -8,8 +8,9 @@
 //!
 //! - **nofault** — no fault plan: the latency floor.
 //! - **faults_off** — the heavy-tailed fault-injecting plan with the
-//!   countermeasures off (the simulator's infinite-patience retry loop):
-//!   straggling draws and injected faults land directly in the tail.
+//!   countermeasures off (the delivery loop's unbounded case, which
+//!   retries every fault until it succeeds): straggling draws and
+//!   injected faults land directly in the tail.
 //! - **faults_on** — the same plan under a 3 s deadline, 3 bounded
 //!   retries with decorrelated backoff, and hedged requests after
 //!   max(6 ms, observed p95 attempt latency).

@@ -175,26 +175,6 @@ impl ModuleAgg {
             self.coll_writes.saturating_add(self.indep_writes),
         )
     }
-
-    /// Human-readable histogram rendering used by prompt builders, e.g.
-    /// `{"0-100": 0.75, "100-1K": 0.25}` keyed by bin label with fractions.
-    pub fn hist_fractions(&self, write: bool) -> BTreeMap<&'static str, f64> {
-        let (hist, total) = if write {
-            (&self.write_hist, self.writes)
-        } else {
-            (&self.read_hist, self.reads)
-        };
-        let mut out = BTreeMap::new();
-        if total <= 0 {
-            return out;
-        }
-        for (i, &count) in hist.iter().enumerate() {
-            if count > 0 {
-                out.insert(SIZE_BINS[i], count as f64 / total as f64);
-            }
-        }
-        out
-    }
 }
 
 fn saturating_sum(counters: &[i64]) -> i64 {
@@ -482,20 +462,6 @@ impl TraceSummary {
         p.saturating_add(s)
     }
 
-    /// Fraction of bytes moved through STDIO rather than POSIX/MPI-IO.
-    pub fn stdio_byte_fraction(&self) -> f64 {
-        let total = self.total_bytes();
-        if total <= 0 {
-            return 0.0;
-        }
-        let s = self
-            .stdio
-            .as_ref()
-            .map(|a| a.bytes_read + a.bytes_written)
-            .unwrap_or(0);
-        (s as f64 / total as f64).clamp(0.0, 1.0)
-    }
-
     /// Fraction of STDIO read bytes out of all read bytes.
     pub fn stdio_read_fraction(&self) -> f64 {
         let p = self.posix.as_ref().map(|a| a.bytes_read).unwrap_or(0);
@@ -655,19 +621,5 @@ mod tests {
     #[test]
     fn missing_module_aggregates_to_none() {
         assert!(aggregate(&trace(), Module::Stdio).is_none());
-    }
-
-    #[test]
-    fn hist_fractions_skips_empty_bins() {
-        let agg = aggregate(&trace(), Module::Posix).unwrap();
-        let h = agg.hist_fractions(false);
-        assert_eq!(h.len(), 2);
-        assert!((h["0_100"] - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stdio_fraction_zero_without_stdio() {
-        let s = TraceSummary::of(&trace());
-        assert_eq!(s.stdio_byte_fraction(), 0.0);
     }
 }

@@ -35,11 +35,12 @@ pub mod top;
 
 pub use cache::LruCache;
 pub use queue::BoundedQueue;
-pub use resilience::{HedgePolicy, JobFailure, ResilienceCounters, ResiliencePolicy, ResilientLlm};
+pub use resilience::{JobFailure, ResilientLlm};
 pub use service::{
     DiagnosisService, IndexProvenance, JobMetrics, JobRequest, JobResult, JobTicket, Retriever,
     ServiceConfig, ServiceStats, SubmitError,
 };
+pub use simllm::{HedgePolicy, ResilienceCounters, ResiliencePolicy};
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,7 @@
 
 use crate::cache::LruCache;
 use crate::queue::{BoundedQueue, QueueClosed};
-use crate::resilience::{JobFailure, ResilienceCounters, ResiliencePolicy, ResilientLlm};
+use crate::resilience::{JobFailure, ResilientLlm};
 use darshan::DarshanTrace;
 use ioagent_core::{AgentConfig, IoAgent};
 use ioobserve::{
@@ -31,7 +31,7 @@ use ioobserve::{
     WindowSpec,
 };
 use iostore::{ResultKey, ResultStore, StateDir};
-use simllm::{Diagnosis, FaultPlan, LanguageModel, SimLlm};
+use simllm::{Diagnosis, FaultPlan, ResilienceCounters, ResiliencePolicy, SimLlm};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -85,10 +85,11 @@ pub struct ServiceConfig {
     /// default — keeps the fault-free simulator). Content is unaffected:
     /// the plan only injects latency and delivery faults.
     pub fault_plan: Option<FaultPlan>,
-    /// Retry/backoff/hedge policy for LLM calls inside each job. `None`
-    /// with no deadline means the pre-existing infinite-patience
-    /// behaviour; `None` with a deadline applies
-    /// [`ResiliencePolicy::unbounded`] so the deadline alone bounds jobs.
+    /// Retry/backoff/hedge policy for LLM calls inside each job. Every
+    /// job's backbone calls run the one delivery loop under this policy,
+    /// the job's deadline and the service's counters; `None` (the
+    /// default) runs it as [`ResiliencePolicy::unbounded`], the infinite
+    /// patience of a bare `SimLlm`, so only a deadline bounds jobs.
     pub resilience: Option<ResiliencePolicy>,
 }
 
@@ -441,15 +442,7 @@ impl ServiceCounters {
             shed_total: registry.counter("service.shed_total"),
             deadline_exceeded: registry.counter("service.deadline_exceeded"),
             panics: registry.counter("service.panics"),
-            resilience: ResilienceCounters {
-                retries: registry.counter("service.retries"),
-                hedges: registry.counter("service.hedges"),
-                hedge_wins: registry.counter("service.hedge_wins"),
-                fault_timeout: registry.counter("service.faults.timeout"),
-                fault_rate_limited: registry.counter("service.faults.rate_limited"),
-                fault_truncated: registry.counter("service.faults.truncated"),
-                attempt_ns: registry.histogram("service.llm_attempt_ns"),
-            },
+            resilience: ResilienceCounters::on(&registry),
             registry,
         }
     }
@@ -466,9 +459,9 @@ struct Shared {
     /// Default per-job deadline (request `deadline` overrides).
     deadline: Option<Duration>,
     /// Failure model for every job's backbone LLM.
-    fault_plan: Option<FaultPlan>,
+    fault_plan: FaultPlan,
     /// Retry/backoff/hedge policy (see [`ServiceConfig::resilience`]).
-    resilience: Option<ResiliencePolicy>,
+    resilience: ResiliencePolicy,
 }
 
 impl Shared {
@@ -659,8 +652,10 @@ impl DiagnosisService {
             store: store.map(Mutex::new),
             intra_threads: config.intra_threads.max(1),
             deadline: config.deadline,
-            fault_plan: config.fault_plan.clone(),
-            resilience: config.resilience,
+            fault_plan: config.fault_plan.clone().unwrap_or_default(),
+            resilience: config
+                .resilience
+                .unwrap_or_else(ResiliencePolicy::unbounded),
         });
         shared.counters.workers.set(config.workers.max(1) as u64);
         let workers = (0..config.workers.max(1))
@@ -982,10 +977,10 @@ fn serve_job(shared: &Shared, job: QueuedJob, worker_idx: usize, intra_pool: &ra
 
 /// Run one cache-missing job to completion (or failure) on this worker.
 ///
-/// The backbone model carries the service's fault plan, and — whenever a
-/// deadline or resilience policy is configured — a [`ResilientLlm`]
-/// wrapper that retries, hedges, and enforces the deadline around every
-/// LLM call the pipeline issues. Failed jobs return an empty diagnosis
+/// The backbone model carries the service's fault plan inside a
+/// [`ResilientLlm`], which runs every LLM call the pipeline issues under
+/// the service's policy (unbounded when none is set), the job's deadline
+/// and the service's counters. Failed jobs return an empty diagnosis
 /// and are never cached; the spend they accumulated before failing is
 /// still accounted. The job's backbone wave count (its critical path in
 /// model round trips) goes on `job_span` as `llm_waves`.
@@ -999,43 +994,21 @@ fn execute_fresh(
     job_span: &mut ioobserve::Span,
 ) -> JobResult {
     // Fresh per-job models: usage accounting stays job-local.
-    let mut model = SimLlm::new(&job.request.model);
-    if let Some(plan) = &shared.fault_plan {
-        model = model.with_fault_plan(plan.clone());
-    }
-    let run = |model: &dyn LanguageModel| {
-        let agent = IoAgent::with_shared_retriever(
-            model,
-            job.request.config.clone(),
-            Arc::clone(&shared.retriever),
-        );
-        let diagnosis = intra_pool.install(|| agent.diagnose(&job.request.trace));
-        (diagnosis, agent.reflection_usage(), agent.llm_waves())
-    };
-    let (diagnosis, backbone, reflection, waves, failure) =
-        if shared.resilience.is_some() || job.deadline_at.is_some() {
-            let policy = shared
-                .resilience
-                .unwrap_or_else(ResiliencePolicy::unbounded);
-            let model = ResilientLlm::new(
-                model,
-                policy,
-                job.deadline_at,
-                shared.counters.resilience.clone(),
-            );
-            let (diagnosis, reflection, waves) = run(&model);
-            (
-                diagnosis,
-                model.usage(),
-                reflection,
-                waves,
-                model.take_failure(),
-            )
-        } else {
-            let (diagnosis, reflection, waves) = run(&model);
-            (diagnosis, model.usage(), reflection, waves, None)
-        };
-    job_span.set_attr("llm_waves", waves);
+    let model = ResilientLlm::new(
+        SimLlm::new(&job.request.model).with_fault_plan(shared.fault_plan.clone()),
+        shared.resilience,
+        job.deadline_at,
+        shared.counters.resilience.clone(),
+    );
+    let agent = IoAgent::with_shared_retriever(
+        &model,
+        job.request.config.clone(),
+        Arc::clone(&shared.retriever),
+    );
+    let diagnosis = intra_pool.install(|| agent.diagnose(&job.request.trace));
+    let (backbone, reflection) = (model.usage(), agent.reflection_usage());
+    let failure = model.take_failure();
+    job_span.set_attr("llm_waves", agent.llm_waves());
     let diagnosis = match failure {
         // A failed job's partial pipeline output is meaningless; drop it.
         Some(_) => empty_diagnosis(&job.request.model),

@@ -10,7 +10,7 @@ use simllm::{CompletionRequest, FaultPlan, LanguageModel, LatencyProfile, SimLlm
 use std::time::{Duration, Instant};
 
 /// Hedge attempt lane (mirrors the private constant in
-/// `ioagentd::resilience`; pinned here so a lane renumbering is caught).
+/// `simllm::delivery`; pinned here so a lane renumbering is caught).
 const HEDGE_LANE: u32 = 0x8000_0000;
 
 fn request() -> CompletionRequest {

@@ -25,7 +25,7 @@ pub use scoring::{Evaluation, ScoreKey};
 
 use rayon::prelude::*;
 use simllm::{CompletionRequest, Diagnosis, LanguageModel};
-use tracebench::{LabeledTrace, Source, TraceBench};
+use tracebench::{LabeledTrace, TraceBench};
 
 /// Which of the paper's augmentations are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,11 +238,6 @@ impl<'m> Judge<'m> {
         }
         eval
     }
-}
-
-/// Convenience: evaluate with per-source trace counts from the suite.
-pub fn source_of(entry: &LabeledTrace) -> Source {
-    entry.spec.source
 }
 
 #[cfg(test)]

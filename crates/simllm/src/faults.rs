@@ -21,12 +21,14 @@
 //!   benchmark is reproducible bit-for-bit.
 //!
 //! Because an attempt's whole outcome is known the moment it launches,
-//! an in-flight attempt is a value ([`crate::Attempt`]): its caller
-//! sleeps until the earliest event it cares about and resolves attempts
-//! in finish order. A racing caller (hedging) keeps every attempt of a
-//! round on the calling thread, delivers the first success, and drops
-//! the loser unbilled: nothing is cancelled mid-sleep, because only the
-//! caller ever sleeps.
+//! an in-flight attempt is a value, not a thread. The one delivery loop
+//! ([`crate::delivery`]) sleeps until the earliest event of its batch and
+//! resolves attempts in finish order: a hedged round keeps both of its
+//! attempts on the calling thread, delivers the first success, and drops
+//! the loser unbilled. Nothing is cancelled mid-sleep, because only the
+//! loop ever sleeps. A bare [`SimLlm`] retries a faulted call on its next
+//! lane until it succeeds; a service job bounds the same loop with its
+//! own retry policy and deadline.
 //!
 //! [`SimLlm`]: crate::SimLlm
 
@@ -434,7 +436,7 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
 }
 
 /// Sleep the calling thread until `at` (no-op once it has passed).
-pub fn sleep_until(at: Instant) {
+pub(crate) fn sleep_until(at: Instant) {
     let now = Instant::now();
     if at > now {
         std::thread::sleep(at - now);

@@ -25,8 +25,14 @@
 //!
 //! Everything is deterministic per (model, prompt, salt), so the entire
 //! evaluation pipeline is reproducible bit-for-bit.
+//!
+//! Every call is delivered by one event loop on the calling thread
+//! ([`delivery`]). [`LanguageModel::complete_all`] on a bare [`SimLlm`]
+//! is its unbounded case; a service job runs [`SimLlm::deliver_all`]
+//! under its own [`ResiliencePolicy`] and deadline.
 
 pub mod context;
+pub mod delivery;
 pub mod evidence;
 pub mod faults;
 pub mod iokb;
@@ -36,9 +42,9 @@ pub mod report;
 pub mod rng;
 pub mod tasks;
 
+pub use delivery::{DeliveryFailure, HedgePolicy, ResilienceCounters, ResiliencePolicy};
 pub use faults::{
-    sleep_until, AttemptDraw, AttemptFault, FaultKind, FaultPlan, FaultSpec, LatencyProfile,
-    TailSpec,
+    AttemptDraw, AttemptFault, FaultKind, FaultPlan, FaultSpec, LatencyProfile, TailSpec,
 };
 pub use profile::{profile, profile_or_panic, ModelProfile, PROFILES};
 pub use report::{extract_issues, Diagnosis};
@@ -46,6 +52,7 @@ pub use report::{extract_issues, Diagnosis};
 use ioobserve::{Counter, FloatCounter, Histogram};
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -186,16 +193,11 @@ impl SimLlm {
         self
     }
 
-    /// The installed failure model.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Generate `request`'s completion once — attention, task dispatch,
     /// text, per-call cost — without latency, faults, or usage. Every
     /// delivery attempt of the request shares this content, because
     /// content draws are keyed by (model, prompt, salt), never by lane.
-    /// A batch of one [`SimLlm::prepare_all`].
+    /// A batch of one `prepare_all`, the form the delivery loop uses.
     pub fn prepare(&self, request: &CompletionRequest) -> Prepared<'_> {
         self.prepare_all(std::slice::from_ref(request))
             .pop()
@@ -214,7 +216,7 @@ impl SimLlm {
     /// outlives the call. The result is byte-identical to working each
     /// prompt whole. Every attempt span parents on the caller's current
     /// span, whichever pool thread prepared the request.
-    pub fn prepare_all(&self, requests: &[CompletionRequest]) -> Vec<Prepared<'_>> {
+    pub(crate) fn prepare_all(&self, requests: &[CompletionRequest]) -> Vec<Prepared<'_>> {
         let parent_span = ioobserve::tracer().current_span_id();
         let mut lower = Vec::new();
         let prefix = SharedPrefix::of(requests, &mut lower);
@@ -242,19 +244,23 @@ impl SimLlm {
 
         // The prefix's parse holds only while attention kept every line.
         let (known, task, filter_prefix) = match attended.truncated {
-            false => (prefix.lines.len(), prefix.task.as_deref(), &prefix.filter),
+            false => (prefix.lines.len(), prefix.task.as_ref(), &prefix.filter),
             true => (0, None, &tasks::FilterPrefix::default()),
         };
         let task = match task {
-            Some(task) => task.to_string(),
-            None => tasks::parse_task(&attended.lines[known..])
-                .unwrap_or_else(|| "diagnose".to_string()),
+            Some(task) => task.clone(),
+            None => task_name(
+                tasks::parse_task(&attended.lines[known..])
+                    .unwrap_or_else(|| "diagnose".to_string()),
+            ),
         };
+        let completion = respond(self.profile, &attended, &task, filter_prefix, &mut rng);
         Prepared {
             model: self,
             prompt_hash,
             salt: request.salt,
-            completion: respond(self.profile, &attended, &task, filter_prefix, &mut rng),
+            output_tokens: completion.output_tokens,
+            completion: Some(completion),
             task,
             parent_span,
             started,
@@ -272,6 +278,18 @@ impl SimLlm {
         usage.cost_usd =
             (usage.input_tokens + usage.output_tokens) as f64 / 1.0e6 * self.profile.cost_per_mtok;
         usage
+    }
+}
+
+/// The tasks [`respond`] answers, by name.
+const TASKS: [&str; 6] = ["diagnose", "transform", "merge", "filter", "rank", "chat"];
+
+/// `task` as a static name when [`respond`] knows it, so a call can carry
+/// its task without a copy of its own.
+fn task_name(task: String) -> Cow<'static, str> {
+    match TASKS.iter().find(|&&known| known == task) {
+        Some(&known) => Cow::Borrowed(known),
+        None => Cow::Owned(task),
     }
 }
 
@@ -405,7 +423,7 @@ struct SharedPrefix<'a> {
     /// [`context::line_tokens`] of `lines`.
     tokens: usize,
     /// The task, when its `### TASK:` line is among `lines`.
-    task: Option<String>,
+    task: Option<Cow<'static, str>>,
     /// The section scan and FRAGMENT token set of `filter` prompts.
     filter: tasks::FilterPrefix<'a>,
 }
@@ -432,7 +450,7 @@ impl<'a> SharedPrefix<'a> {
         let len = first.line_start(common);
         let mut lines = Vec::new();
         first.push_lines(0, len, &mut lines);
-        let task = tasks::parse_task(&lines);
+        let task = tasks::parse_task(&lines).map(task_name);
         let filter = match task.as_deref() {
             Some("filter") => tasks::FilterPrefix::new(&lines, lower),
             _ => tasks::FilterPrefix::default(),
@@ -450,8 +468,8 @@ impl<'a> SharedPrefix<'a> {
 
 /// One request's content, generated once by [`SimLlm::prepare`] and
 /// shared by all of its delivery attempts. Attempts are values: each
-/// lane's latency and fault are drawn when it launches, the caller sleeps
-/// until the attempt it cares about finishes, and only a delivered
+/// lane's latency and fault are drawn when it launches, the delivery loop
+/// sleeps until the attempt it cares about finishes, and only a delivered
 /// attempt is committed.
 pub struct Prepared<'a> {
     model: &'a SimLlm,
@@ -459,8 +477,12 @@ pub struct Prepared<'a> {
     /// and attempt draw.
     prompt_hash: u64,
     salt: u64,
-    completion: Completion,
-    task: String,
+    /// Handed over, not copied, by the one attempt that delivers.
+    completion: Option<Completion>,
+    /// The completion's output tokens, which every attempt's latency
+    /// draw scales with.
+    output_tokens: usize,
+    task: Cow<'static, str>,
     /// The caller's span at prepare time; every attempt's `llm.call`
     /// span is its child, so a hedge is a sibling of its primary.
     parent_span: u64,
@@ -476,21 +498,21 @@ impl Prepared<'_> {
             self.prompt_hash,
             self.salt,
             lane,
-            self.completion.output_tokens,
+            self.output_tokens,
         )
     }
 
-    /// An RNG in the attempt-keyed domain of this request, for caller
+    /// An RNG in the attempt-keyed domain of this request, for loop
     /// draws that must replay per lane (retry backoff).
-    pub fn lane_rng(&self, lane: u32) -> rand_chacha::ChaCha8Rng {
+    pub(crate) fn lane_rng(&self, lane: u32) -> rand_chacha::ChaCha8Rng {
         rng::rng_for_attempt(self.model.profile.name, self.prompt_hash, self.salt, lane)
     }
 
     /// Launch attempt `lane` now: open its `llm.call` span and draw its
-    /// outcome. Nothing sleeps and nothing is charged; the caller waits
+    /// outcome. Nothing sleeps and nothing is charged; the loop waits
     /// until [`Attempt::finish`], then [`Prepared::resolve`]s it or
     /// [`Attempt::abandon`]s it.
-    pub fn launch(&self, lane: u32) -> Attempt {
+    pub(crate) fn launch(&self, lane: u32) -> Attempt {
         let mut span = ioobserve::tracer().span_child_fine("llm.call", self.parent_span);
         span.set_attr("model", self.model.profile.name);
         if lane != 0 {
@@ -505,12 +527,12 @@ impl Prepared<'_> {
     }
 
     /// Resolve a finished attempt into its drawn fault, or deliver it:
-    /// commit usage and metrics once and return the completion. Exactly
-    /// one commit happens per delivered completion, so accounting is the
-    /// same whether or not faults forced retries or hedges along the way.
-    /// `llm.call_ns` records the wall time from [`SimLlm::prepare`] to
-    /// delivery, retries and hedges included.
-    pub fn resolve(&self, attempt: Attempt) -> Result<Completion, AttemptFault> {
+    /// commit usage and metrics once and hand the completion over.
+    /// Exactly one commit happens per delivered completion, so accounting
+    /// is the same whether or not faults forced retries or hedges along
+    /// the way. `llm.call_ns` records the wall time from
+    /// [`SimLlm::prepare`] to delivery, retries and hedges included.
+    pub(crate) fn resolve(&mut self, attempt: Attempt) -> Result<Completion, AttemptFault> {
         let Attempt { draw, mut span, .. } = attempt;
         if let Some(fault) = draw.fault {
             span.set_attr("fault", fault.kind.as_str());
@@ -522,7 +544,7 @@ impl Prepared<'_> {
             ioobserve::metrics().counter(counter).inc();
             return Err(fault);
         }
-        let completion = &self.completion;
+        let completion = self.completion.take().expect("a request is delivered once");
         {
             // Integer sums only; the snapshot in [`SimLlm::usage`] derives
             // the (order-invariant) cost from these totals.
@@ -541,24 +563,24 @@ impl Prepared<'_> {
         m.output_tokens.add(completion.output_tokens as u64);
         m.cost_usd.add(completion.cost_usd);
         m.call_ns.record_duration(self.started.elapsed());
-        Ok(completion.clone())
+        Ok(completion)
     }
 }
 
 /// One in-flight delivery attempt: a value, not a thread. Its outcome
 /// was drawn at launch; it resolves at [`Attempt::finish`].
-pub struct Attempt {
+pub(crate) struct Attempt {
     /// The drawn latency and fault.
-    pub draw: AttemptDraw,
+    pub(crate) draw: AttemptDraw,
     /// When the attempt resolves.
-    pub finish: Instant,
+    pub(crate) finish: Instant,
     span: ioobserve::Span,
 }
 
 impl Attempt {
     /// Drop an attempt that lost a race (or outlived the deadline)
     /// without billing it: its span is marked `cancelled=true`.
-    pub fn abandon(mut self) {
+    pub(crate) fn abandon(mut self) {
         self.span.set_attr("cancelled", true);
         ioobserve::metrics().counter("llm.cancelled").inc();
     }
@@ -580,69 +602,15 @@ impl LanguageModel for SimLlm {
             .expect("one completion per request")
     }
 
-    /// Infinite-patience delivery of every request at once: launch each
-    /// request's lane 0 together, then sleep to the earliest event — an
-    /// attempt's finish or a faulted call's relaunch — and handle it. A
-    /// faulted call relaunches on its next lane (1, 2, …) after the
-    /// fault's rate-limit hint; the first success is delivered. This is
-    /// the countermeasures-off baseline a resilient caller competes
-    /// against — it always succeeds eventually, with an enormous tail.
-    /// The loop runs on the calling thread and starts none.
+    /// The one delivery loop's unbounded case: [`SimLlm::deliver_all`]
+    /// under [`ResiliencePolicy::unbounded`], with no deadline and no
+    /// counters. A faulted call relaunches on its next lane (1, 2, …)
+    /// after its rate-limit hint, so every call succeeds eventually, with
+    /// an enormous tail: the countermeasures-off baseline.
     fn complete_all(&self, requests: &[CompletionRequest]) -> Vec<Completion> {
-        let prepared = self.prepare_all(requests);
-        let mut calls: Vec<(u32, Delivery)> = prepared
-            .iter()
-            .map(|p| (0, Delivery::InFlight(p.launch(0))))
-            .collect();
-        loop {
-            let next = calls
-                .iter()
-                .enumerate()
-                .filter_map(|(i, (_, d))| match d {
-                    Delivery::InFlight(attempt) => Some((attempt.finish, i)),
-                    Delivery::Relaunch(at) => Some((*at, i)),
-                    Delivery::Delivered(_) => None,
-                })
-                .min();
-            let Some((at, i)) = next else { break };
-            sleep_until(at);
-            let (lane, delivery) = &mut calls[i];
-            match std::mem::replace(delivery, Delivery::Relaunch(at)) {
-                Delivery::Relaunch(_) => {
-                    *lane = lane.wrapping_add(1);
-                    *delivery = Delivery::InFlight(prepared[i].launch(*lane));
-                }
-                Delivery::InFlight(attempt) => match prepared[i].resolve(attempt) {
-                    Ok(completion) => {
-                        call_metrics().attempts.record(u64::from(*lane) + 1);
-                        *delivery = Delivery::Delivered(completion);
-                    }
-                    Err(fault) => {
-                        let wait = fault.retry_after.unwrap_or_default();
-                        *delivery = Delivery::Relaunch(Instant::now() + wait);
-                    }
-                },
-                Delivery::Delivered(_) => unreachable!("a delivered call has no event"),
-            }
-        }
-        calls
-            .into_iter()
-            .map(|(_, d)| match d {
-                Delivery::Delivered(completion) => completion,
-                _ => unreachable!("the loop ends once every call is delivered"),
-            })
-            .collect()
+        self.deliver_all(requests, &ResiliencePolicy::unbounded(), None, None)
+            .expect("with no retry bound and no deadline every call is delivered")
     }
-}
-
-/// Where one call of [`SimLlm`]'s delivery loop stands.
-enum Delivery {
-    /// The current lane's attempt is in flight.
-    InFlight(Attempt),
-    /// The last lane faulted; the next launches at this instant.
-    Relaunch(Instant),
-    /// Delivered and billed.
-    Delivered(Completion),
 }
 
 #[cfg(test)]
@@ -1053,7 +1021,10 @@ mod tests {
             "8 attempt lanes drew identical timing"
         );
         let texts: std::collections::BTreeSet<String> = (0..8)
-            .map(|a| prepared.resolve(prepared.launch(a)).unwrap().text)
+            .map(|a| {
+                let mut prepared = m.prepare(&req);
+                prepared.resolve(prepared.launch(a)).unwrap().text
+            })
             .collect();
         assert_eq!(texts.len(), 1, "attempt lane leaked into content");
         assert!(texts.contains(&SimLlm::new("gpt-4o").complete(&req).text));
@@ -1087,7 +1058,7 @@ mod tests {
                 "### TASK: diagnose\nEVIDENCE nprocs=8\nEVIDENCE posix.writes=1000",
             )
             .with_salt(salt);
-            let prepared = m.prepare(&req);
+            let mut prepared = m.prepare(&req);
             let drawn = prepared.draw(0);
             let outcome = prepared.resolve(prepared.launch(0));
             match drawn.fault {

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Heap allocations (fresh, zeroed and resized) per 15-prompt batch.
-const ALLOCATIONS_PER_BATCH: u64 = 101;
+const ALLOCATIONS_PER_BATCH: u64 = 71;
 
 struct Counting;
 

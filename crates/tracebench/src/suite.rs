@@ -5,7 +5,6 @@ use crate::labels::IssueLabel;
 use crate::spec::{all_specs, Source, TraceSpec};
 use darshan::DarshanTrace;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A generated trace together with its ground-truth annotation.
 #[derive(Debug, Clone)]
@@ -140,15 +139,6 @@ impl Table3 {
         ));
         out
     }
-}
-
-/// Per-source counts used in headers ("over 40 traces").
-pub fn source_sizes() -> BTreeMap<Source, usize> {
-    let mut m = BTreeMap::new();
-    for spec in all_specs() {
-        *m.entry(spec.source).or_insert(0) += 1;
-    }
-    m
 }
 
 #[cfg(test)]

@@ -155,6 +155,40 @@ fn faulted_service_is_byte_identical_to_fault_free_at_any_width() {
     hedged.shutdown();
 }
 
+/// With a fault plan but no policy and no deadline, jobs run the
+/// delivery loop's unbounded case: every faulted call retries until it
+/// succeeds, and the service counts those retries and faults like any
+/// other.
+#[test]
+fn a_faulted_service_without_a_policy_counts_its_retries_and_faults() {
+    let suite = TraceBench::generate();
+    let jobs = workload(&suite);
+    let clean = DiagnosisService::start(ServiceConfig::with_workers(2).cache_capacity(0));
+    let reference = clean.run_batch(jobs.clone()).unwrap();
+    let faulted = DiagnosisService::with_shared_index(
+        ServiceConfig::with_workers(2)
+            .cache_capacity(0)
+            .fault_plan(chaos_plan()),
+        clean.retriever(),
+    );
+    let results = faulted.run_batch(jobs).unwrap();
+    for (r, f) in reference.iter().zip(&results) {
+        assert!(f.failure.is_none(), "{}: {:?}", f.id, f.failure);
+        assert_eq!(f.diagnosis.text, r.diagnosis.text, "{}", r.id);
+        assert_eq!(f.diagnosis.issues, r.diagnosis.issues, "{}", r.id);
+        assert_eq!(f.diagnosis.references, r.diagnosis.references, "{}", r.id);
+        assert_eq!(f.metrics.llm_calls, r.metrics.llm_calls, "{}", r.id);
+        assert_eq!(f.metrics.cost_usd, r.metrics.cost_usd, "{}", r.id);
+    }
+    let stats = faulted.stats();
+    assert!(stats.retries > 0, "no retry counted");
+    let faults = stats.faults_timeout + stats.faults_rate_limited + stats.faults_truncated;
+    assert!(faults > 0, "no fault counted");
+    assert_eq!(stats.hedges, 0, "no policy means no hedging");
+    clean.shutdown();
+    faulted.shutdown();
+}
+
 fn hedged_policy() -> ResiliencePolicy {
     chaos_policy().hedged(HedgePolicy {
         quantile: 0.95,
