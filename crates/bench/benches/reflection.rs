@@ -6,13 +6,11 @@
 //! models, judged by `gpt-4o-mini`, exactly as a diagnosis sends them),
 //! then replays the batches through `SimLlm::complete_all` and prints the
 //! mean wall time per call. Replayed verdicts are checked against the
-//! recorded ones before any number is printed.
-//!
-//! Run with one shim thread so the number is CPU per call, not a
-//! parallel speedup:
+//! recorded ones before any number is printed. Every batch runs on the
+//! calling thread, so the number is CPU per call:
 //!
 //! ```sh
-//! RAYON_NUM_THREADS=1 cargo bench -p ioagent-bench --bench reflection
+//! cargo bench -p ioagent-bench --bench reflection
 //! ```
 //!
 //! `--test` (as `cargo bench -- --test` passes it) replays one round
@@ -105,10 +103,9 @@ fn main() {
     rounds_ns.sort_by(f64::total_cmp);
     let per_call_us = |ns: f64| ns / calls as f64 / 1e3;
     println!(
-        "reflection replay: {} batches, {calls} calls, {:.0} prompt bytes per call, {} shim thread(s)",
+        "reflection replay: {} batches, {calls} calls, {:.0} prompt bytes per call",
         batches.len(),
         bytes as f64 / calls as f64,
-        rayon::current_num_threads()
     );
     println!(
         "per call: best {:.3} us, median {:.3} us, worst {:.3} us over {rounds} rounds",

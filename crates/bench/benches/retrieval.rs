@@ -8,8 +8,6 @@
 //!   (arena + cached norms + unrolled dot + bounded heap) vs the seed-era
 //!   scan-score-sort path preserved in `vecindex::reference`, with the two
 //!   asserted byte-identical before any timing;
-//! - **64-query batch** — `search_batch` under a forced 1-thread and
-//!   4-thread shim pool;
 //! - **embed** — the seed-era embedding (fresh `HashMap` + per-token
 //!   `String`s, replicated below) vs `embed_into` into a reused buffer
 //!   (the allocation-free hot path).
@@ -29,7 +27,6 @@ use vecindex::reference;
 
 const TARGET_CHUNKS: usize = 10_000;
 const TOP_K: usize = 15;
-const BATCH: usize = 64;
 
 const QUERY: &str = "the value of 1.0 in the 1K to 10K bin indicates that 100% of the write \
                      operations fall within the 1 KB to 10 KB range; many frequent small \
@@ -37,10 +34,6 @@ const QUERY: &str = "the value of 1.0 in the 1K to 10K bin indicates that 100% o
 
 fn build_corpus() -> vecindex::VectorIndex {
     synth::build_corpus(TARGET_CHUNKS)
-}
-
-fn batch_queries() -> Vec<String> {
-    synth::batch_queries(BATCH)
 }
 
 /// Median-of-samples timing (1 warm-up call), returning (median, min).
@@ -55,14 +48,6 @@ fn time<R>(samples: usize, mut f: impl FnMut() -> R) -> (Duration, Duration) {
         .collect();
     times.sort();
     (times[times.len() / 2], times[0])
-}
-
-fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .unwrap()
-        .install(f)
 }
 
 fn us(d: Duration) -> f64 {
@@ -144,7 +129,8 @@ fn main() {
 
     // Correctness first: the engine must be byte-identical to the old
     // path on this corpus before its speed means anything.
-    let engine_hits: Vec<(u32, usize)> = at_width(1, || ix.search(QUERY, TOP_K))
+    let engine_hits: Vec<(u32, usize)> = ix
+        .search(QUERY, TOP_K)
         .iter()
         .map(|h| (h.score.to_bits(), h.entry_idx))
         .collect();
@@ -163,12 +149,9 @@ fn main() {
     report("cold_build_10k", build_med, build_min);
 
     // ---- single search: engine vs seed-era reference ---------------------
-    // Width 1 isolates the algorithmic speedup (norm caching + heap top-k
-    // + arena locality) from thread-level parallelism; the reference path
-    // is sequential by construction.
-    let (engine_med, engine_min) = at_width(1, || {
-        time(samples(200), || black_box(ix.search(QUERY, TOP_K)))
-    });
+    // Both run on this thread, so the ratio is the algorithmic speedup
+    // (norm caching + heap top-k + arena locality).
+    let (engine_med, engine_min) = time(samples(200), || black_box(ix.search(QUERY, TOP_K)));
     report("single_search_engine", engine_med, engine_min);
     let (ref_med, ref_min) = time(samples(30), || {
         black_box(reference::search(&ix, QUERY, TOP_K))
@@ -176,17 +159,6 @@ fn main() {
     report("single_search_reference", ref_med, ref_min);
     let speedup = us(ref_med) / us(engine_med).max(1e-9);
     println!("single-query speedup over pre-PR scan: {speedup:.1}x");
-
-    // ---- 64-query batch at 1 and 4 threads -------------------------------
-    let queries = batch_queries();
-    let (b1_med, b1_min) = at_width(1, || {
-        time(samples(10), || black_box(ix.search_batch(&queries, TOP_K)))
-    });
-    report("batch64_threads1", b1_med, b1_min);
-    let (b4_med, b4_min) = at_width(4, || {
-        time(samples(10), || black_box(ix.search_batch(&queries, TOP_K)))
-    });
-    report("batch64_threads4", b4_med, b4_min);
 
     // ---- embed: seed-era (HashMap + per-token Strings) vs hot path -------
     let embedder = ioembed::Embedder::default();
@@ -229,8 +201,6 @@ fn main() {
         "single_search_engine_us": us(engine_med),
         "single_search_reference_us": us(ref_med),
         "single_search_speedup": speedup,
-        "batch64_threads1_ms": ms(b1_med),
-        "batch64_threads4_ms": ms(b4_med),
         "embed_seed_era_us": us(embed_seed_med) / 100.0,
         "embed_into_us": us(embed_into_med) / 100.0,
         "generated_unix": generated_unix,

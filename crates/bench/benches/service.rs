@@ -95,32 +95,6 @@ fn bench_service(c: &mut Criterion) {
         }
     }
 
-    // Combined grain: half the workers, each running its jobs over a
-    // 2-thread intra-job shim pool — the same workers × intra-threads
-    // budget as the plain rpc_N arm, but split across both grains. Shows
-    // the thread-budget interaction (README "Parallelism model"): a job's
-    // calls already overlap wave by wave on its worker thread, so the
-    // intra-job threads only split its CPU work while half as many jobs
-    // run at once.
-    let combined_workers = (n_workers / 2).max(1);
-    let combined = DiagnosisService::with_shared_index(
-        ServiceConfig::with_workers(combined_workers)
-            .intra_threads(2)
-            .cache_capacity(0)
-            .fault_plan(rpc_plan()),
-        Arc::clone(&index),
-    );
-    let combined_label = format!("rpc_combined_{combined_workers}x2");
-    group.bench_with_input(
-        BenchmarkId::new("batch64", &combined_label),
-        &jobs,
-        |b, jobs| {
-            b.iter(|| black_box(combined.run_batch(jobs.to_vec()).unwrap()));
-        },
-    );
-    summary.push((combined_label, timed_batch(&combined, &jobs)));
-    combined.shutdown();
-
     // Cache arm: after the first batch, every job is answered from the LRU.
     let cached_service = DiagnosisService::with_shared_index(
         ServiceConfig::with_workers(n_workers).cache_capacity(2 * N_JOBS),

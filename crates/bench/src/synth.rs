@@ -2,7 +2,7 @@
 //! (`benches/retrieval.rs`).
 //!
 //! Every function is seeded SplitMix64, so every run — on any machine —
-//! builds the identical corpus and query set and therefore measures the
+//! builds the identical corpus and therefore measures the
 //! identical work. The vocabulary is domain-flavoured (stripe counts,
 //! collective I/O, metadata storms) and documents are **topical**: each
 //! document draws most of its tokens from one of [`TOPICS`] overlapping
@@ -133,23 +133,6 @@ pub fn build_corpus(target_chunks: usize) -> VectorIndex {
     ix
 }
 
-/// A deterministic batch of `n` 24-token queries, query `i` flavoured
-/// around topic `i % TOPICS` (so a batch mixes every topic, as concurrent
-/// traffic from many users would).
-pub fn batch_queries(n: usize) -> Vec<String> {
-    let mut rng = Rng(0xbeefcafe);
-    (0..n)
-        .map(|i| {
-            let mut q = format!("query {i}: ");
-            for _ in 0..24 {
-                q.push_str(topical_token(&mut rng, i % TOPICS));
-                q.push(' ');
-            }
-            q
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +147,5 @@ mod tests {
             let bits_b: Vec<u32> = b.vector(i).iter().map(|f| f.to_bits()).collect();
             assert_eq!(bits_a, bits_b, "chunk {i}");
         }
-        assert_eq!(batch_queries(8), batch_queries(8));
     }
 }

@@ -320,21 +320,6 @@ pub fn is_float_counter(name: &str) -> bool {
     name.contains("_F_")
 }
 
-/// Whether `name` is a known counter of `module` (including the dynamic
-/// `LUSTRE_OST_ID_*` family).
-pub fn is_known_counter(module: Module, name: &str) -> bool {
-    let (ints, floats): (&[&str], &[&str]) = match module {
-        Module::Posix => (POSIX_INT_COUNTERS, POSIX_FLOAT_COUNTERS),
-        Module::Mpiio => (MPIIO_INT_COUNTERS, MPIIO_FLOAT_COUNTERS),
-        Module::Stdio => (STDIO_INT_COUNTERS, STDIO_FLOAT_COUNTERS),
-        Module::Lustre => (LUSTRE_INT_COUNTERS, &[]),
-    };
-    if module == Module::Lustre && name.starts_with("LUSTRE_OST_ID_") {
-        return true;
-    }
-    ints.contains(&name) || floats.contains(&name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,14 +374,6 @@ mod tests {
             let agg_r = format!("MPIIO_SIZE_READ_AGG_{bin}");
             assert!(MPIIO_INT_COUNTERS.contains(&agg_r.as_str()), "{agg_r}");
         }
-    }
-
-    #[test]
-    fn known_counter_lookup() {
-        assert!(is_known_counter(Module::Posix, "POSIX_OPENS"));
-        assert!(is_known_counter(Module::Lustre, "LUSTRE_OST_ID_17"));
-        assert!(!is_known_counter(Module::Posix, "MPIIO_SYNCS"));
-        assert!(!is_known_counter(Module::Stdio, "STDIO_NOPE"));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod tokenize;
 pub mod vector;
 
 pub use tokenize::{token_count, token_slices, tokenize};
-pub use vector::{cosine, cosine_with_norms, dot, dot_multi, l2_normalize, norm};
+pub use vector::{cosine, cosine_with_norms, dot, l2_normalize, norm};
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -90,7 +90,7 @@ impl Embedder {
     /// hot path: `out` is cleared and refilled (its capacity is reused on
     /// repeat calls), and all intermediate state lives in reused
     /// thread-local scratch. `vecindex` drives every query embedding in
-    /// `search` / `search_batch` through this.
+    /// `search` through this.
     pub fn embed_into(&self, text: &str, out: &mut Vec<f32>) {
         assert!(
             text.len() <= u32::MAX as usize,

@@ -50,22 +50,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// Block-dot kernel: dot products of many queries against **one** shared
-/// vector, written to `out[i]` for `queries[i]`.
-///
-/// The shared vector is loaded from memory once and every query is scored
-/// against it while it sits in L1 — the cache-blocking move that lets a
-/// batch search stream each candidate row once per query *block* instead
-/// of once per query. Each score is computed by the same [`dot`] kernel a
-/// single-query scan uses, so `out[i]` is bit-identical to
-/// `dot(queries[i], b)` by construction (pinned by a test below).
-pub fn dot_multi(queries: &[&[f32]], b: &[f32], out: &mut [f32]) {
-    assert_eq!(queries.len(), out.len(), "one output lane per query");
-    for (o, q) in out.iter_mut().zip(queries) {
-        *o = dot(q, b);
-    }
-}
-
 /// Cosine similarity; 0.0 when either vector is zero.
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     cosine_with_norms(dot(a, b), norm(a), norm(b))
@@ -148,38 +132,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn dot_dim_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    /// Every lane of the multi-query kernel must be bit-identical to the
-    /// one-query kernel, including on ulp-sensitive mixed magnitudes.
-    #[test]
-    fn dot_multi_is_bit_identical_to_per_query_dots() {
-        let mut state = 0x6a09e667f3bcc909u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) as f32 * if state & 1 == 0 { 1.0 } else { -1e-3 }
-        };
-        for len in [0usize, 1, 7, 8, 17, 256] {
-            let b: Vec<f32> = (0..len).map(|_| next()).collect();
-            let queries: Vec<Vec<f32>> =
-                (0..5).map(|_| (0..len).map(|_| next()).collect()).collect();
-            let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-            let mut out = vec![7.0f32; refs.len()];
-            dot_multi(&refs, &b, &mut out);
-            for (q, o) in queries.iter().zip(&out) {
-                assert_eq!(o.to_bits(), dot(q, &b).to_bits(), "len {len} diverged");
-            }
-        }
-        // Zero queries: nothing to write, nothing to read.
-        dot_multi(&[], &[1.0, 2.0], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn dot_multi_dim_mismatch_panics() {
-        dot_multi(&[&[1.0f32][..]], &[1.0, 2.0], &mut [0.0]);
     }
 
     #[test]

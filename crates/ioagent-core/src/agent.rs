@@ -6,7 +6,6 @@ use crate::session::AgentSession;
 use crate::transform;
 use darshan::DarshanTrace;
 use preprocessor::SummaryFragment;
-use rayon::prelude::*;
 use simllm::{Completion, CompletionRequest, Diagnosis, LanguageModel, SimLlm};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -141,7 +140,7 @@ impl<'m> IoAgent<'m> {
         // Stage 2: per-fragment knowledge integration + diagnosis. One
         // coarse `stage.fragments` span tiles the whole fan-out.
         let fragments_span = tracer.span("stage.fragments");
-        let blocks = self.diagnose_fragments(&fragments, fragments_span.id());
+        let blocks = self.diagnose_fragments(&fragments);
         // Free the fragments inside the stage that used them, not in the
         // unattributed tail of the job after rendering.
         drop(fragments);
@@ -173,12 +172,9 @@ impl<'m> IoAgent<'m> {
 
     /// Diagnose every fragment into a mergeable summary block, in fragment
     /// order: a wave of NL transforms (the RAG queries), then retrieval
-    /// and self-reflection per fragment (CPU work, parallel across the
-    /// shim pool), then a wave of grounded diagnoses. `parent` is the
-    /// span id of the enclosing fan-out (0 when tracing is disabled),
-    /// threaded explicitly because the retrieval closures may run on pool
-    /// worker threads whose span stacks are empty.
-    fn diagnose_fragments(&self, fragments: &[SummaryFragment], parent: u64) -> Vec<SummaryBlock> {
+    /// and self-reflection per fragment, then a wave of grounded
+    /// diagnoses.
+    fn diagnose_fragments(&self, fragments: &[SummaryFragment]) -> Vec<SummaryBlock> {
         // 2a: NL transformation (the RAG query).
         let queries: Vec<String> = if self.config.nl_transform {
             let requests: Vec<CompletionRequest> =
@@ -194,9 +190,9 @@ impl<'m> IoAgent<'m> {
         // 2b/2c: retrieval + self-reflection filtering, then the grounded
         // diagnosis prompt.
         let requests: Vec<CompletionRequest> = fragments
-            .par_iter()
-            .enumerate()
-            .map(|(i, fragment)| self.diagnosis_request(fragment, &queries[i], parent))
+            .iter()
+            .zip(&queries)
+            .map(|(fragment, query)| self.diagnosis_request(fragment, query))
             .collect();
 
         // 2d: grounded per-fragment diagnosis.
@@ -209,14 +205,9 @@ impl<'m> IoAgent<'m> {
 
     /// Ground one fragment's query in retrieved, reflection-approved
     /// sources and build its diagnosis request.
-    fn diagnosis_request(
-        &self,
-        fragment: &SummaryFragment,
-        query: &str,
-        parent: u64,
-    ) -> CompletionRequest {
+    fn diagnosis_request(&self, fragment: &SummaryFragment, query: &str) -> CompletionRequest {
         let tracer = ioobserve::tracer();
-        let mut fragment_span = tracer.span_child_fine("stage.fragment", parent);
+        let mut fragment_span = tracer.span_fine("stage.fragment");
         fragment_span.set_attr("title", &fragment.title);
         let retrieve_start = std::time::Instant::now();
         let sources = {

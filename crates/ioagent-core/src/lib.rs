@@ -10,11 +10,11 @@
 //! 2. **Domain Knowledge Integration**: each fragment is transformed to
 //!    natural language by the LLM (better embedding alignment with expert
 //!    prose), used as a query over the 66-document knowledge index
-//!    (top-15 cosine retrieval), and the hits are filtered in parallel by a
-//!    cheaper *self-reflection* model. The surviving sources ground a
+//!    (top-15 cosine retrieval), and the hits are filtered by a cheaper
+//!    *self-reflection* model whose calls go out as one batch. The surviving sources ground a
 //!    per-fragment diagnosis with citations.
 //! 3. **Tree-based merge**: per-fragment diagnoses are merged pairwise,
-//!    level by level (merges within a level run in parallel), preserving
+//!    level by level (the merges of a level go out as one batch), preserving
 //!    key points and references that a single flat merge would lose.
 //!
 //! The result is a [`simllm::Diagnosis`] with justifications and references,

@@ -128,9 +128,8 @@ impl Retriever {
 
     /// Retrieve top-`self.top_k` sources for a query, then self-reflect
     /// with the given (cheaper) model to drop irrelevant hits. Reflection
-    /// calls go out as one batch, in parallel as in the paper; verdicts
-    /// come back in hit order, so the kept set is identical at any thread
-    /// count.
+    /// calls go out as one batch, in flight together as in the paper;
+    /// verdicts come back in hit order.
     pub fn retrieve(
         &self,
         query: &str,

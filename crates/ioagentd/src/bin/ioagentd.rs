@@ -8,9 +8,9 @@
 //!   ioagentd slo-check ADDR [--slo FILE]
 //!
 //! OPTIONS:
-//!   --workers N        worker threads (default: available parallelism)
-//!   --intra-threads N  rayon-shim pool width inside each job (default: 1;
-//!                      total thread budget = workers x intra-threads)
+//!   --workers N        worker threads, one job each (default: available
+//!                      parallelism); a job overlaps its LLM calls in
+//!                      waves on its own thread
 //!   --queue N          job queue bound (default: 2 x workers)
 //!   --cache N          result cache entries, 0 disables (default: 256)
 //!   --state-dir DIR    persist results + the knowledge-index snapshot in
@@ -93,9 +93,7 @@ fn usage() -> ! {
          \x20      ioagentd top ADDR [--interval-ms N] [--once]\n\
          \x20      ioagentd slo-check ADDR [--slo FILE]\n\n\
          OPTIONS:\n\
-           --workers N        worker threads (default: available parallelism)\n\
-           --intra-threads N  rayon-shim pool width inside each job\n\
-                              (default: 1; budget = workers x intra-threads)\n\
+           --workers N        worker threads, one job each (default: available parallelism)\n\
            --queue N          job queue bound (default: 2 x workers)\n\
            --cache N          result cache entries, 0 disables (default: 256)\n\
            --state-dir DIR    persist results + index snapshot in DIR\n\
@@ -379,9 +377,6 @@ fn main() {
             "top" => top_cmd(&args.next().unwrap_or_else(|| usage()), args),
             "slo-check" => slo_check_cmd(&args.next().unwrap_or_else(|| usage()), args),
             "--workers" => config.workers = parse_count(&mut args, "--workers").max(1),
-            "--intra-threads" => {
-                config.intra_threads = parse_count(&mut args, "--intra-threads").max(1)
-            }
             "--queue" => {
                 config.queue_capacity = parse_count(&mut args, "--queue").max(1);
                 explicit_queue = true;
@@ -514,12 +509,8 @@ fn main() {
     }
 
     eprintln!(
-        "[ioagentd] starting: {} workers x {} intra-threads ({} thread budget), queue {}, cache {}",
-        config.workers,
-        config.intra_threads,
-        config.thread_budget(),
-        config.queue_capacity,
-        config.cache_capacity
+        "[ioagentd] starting: {} workers, queue {}, cache {}",
+        config.workers, config.queue_capacity, config.cache_capacity
     );
     if let Some(d) = config.deadline {
         eprintln!("[ioagentd] deadline: {} ms per job", d.as_millis());

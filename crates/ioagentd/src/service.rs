@@ -14,10 +14,9 @@
 //! - Completed diagnoses enter an LRU cache keyed by (trace fingerprint,
 //!   model, config); resubmitting an identical job is answered from the
 //!   cache with zero LLM calls.
-//! - Each worker additionally owns a rayon-shim pool of
-//!   [`ServiceConfig::intra_threads`] threads for the CPU work *inside* a
-//!   job, so the daemon's thread budget is `workers × intra_threads` (see
-//!   the [`ServiceConfig`] docs for how to split it).
+//! - A job runs on the one worker thread that dequeued it, so the
+//!   daemon's threads are its `workers`; a job overlaps its model latency
+//!   in `complete_all` waves on that thread, not in threads of its own.
 //! - A job that panics is answered as an `internal` failure
 //!   (`service.panics`); its worker keeps serving the queue.
 
@@ -43,27 +42,15 @@ pub use ioagent_core::rag::{IndexProvenance, Retriever};
 
 /// Service sizing knobs.
 ///
-/// The daemon spends threads at two grains: `workers` jobs run
-/// concurrently, and each job may additionally split its own CPU work
-/// (retrieval and self-reflection per fragment, generating the content of
-/// a stage's LLM calls) across `intra_threads` rayon-shim threads. The
-/// total thread budget is therefore `workers × intra_threads`; size the
-/// product to the machine, not either factor alone. Many small jobs
-/// favour wide `workers` × `intra_threads` 1 (the default); few large
-/// traces favour the opposite split. Waiting on the model needs no
-/// threads at either grain: each pipeline stage's LLM calls are in flight
-/// together on the job's own thread.
+/// The daemon's threads are its `workers`: one job runs on one worker
+/// thread from dequeue to reply, so `workers` jobs run concurrently.
+/// Waiting on the model needs no more threads: each pipeline stage's LLM
+/// calls go out as one wave and are in flight together on the job's own
+/// thread.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads (diagnoses running concurrently).
     pub workers: usize,
-    /// Rayon-shim pool width *inside* each job, for its CPU work only
-    /// (1 = sequential hot loops, the pre-shim behaviour). Model latency
-    /// already overlaps at width 1: each pipeline stage's LLM calls are
-    /// in flight together on the worker thread, so a wider pool buys
-    /// cores, not fewer round trips. Diagnoses are bit-identical at any
-    /// width.
-    pub intra_threads: usize,
     /// Job queue bound; producers block (backpressure) when it is full.
     pub queue_capacity: usize,
     /// Result cache entries (0 disables caching).
@@ -100,7 +87,6 @@ impl Default for ServiceConfig {
             .unwrap_or(4);
         ServiceConfig {
             workers,
-            intra_threads: 1,
             queue_capacity: 2 * workers,
             cache_capacity: 256,
             state_dir: None,
@@ -134,12 +120,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Builder-style intra-job pool width override (clamped to ≥ 1).
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads.max(1);
-        self
-    }
-
     /// Builder-style persistent state directory override.
     pub fn state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
@@ -162,11 +142,6 @@ impl ServiceConfig {
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
         self.resilience = Some(policy);
         self
-    }
-
-    /// Total thread budget this configuration can have live at once.
-    pub fn thread_budget(&self) -> usize {
-        self.workers * self.intra_threads
     }
 }
 
@@ -455,7 +430,6 @@ struct Shared {
     retriever: Arc<Retriever>,
     /// Disk-backed result journal (`None` with persistence off).
     store: Option<Mutex<ResultStore>>,
-    intra_threads: usize,
     /// Default per-job deadline (request `deadline` overrides).
     deadline: Option<Duration>,
     /// Failure model for every job's backbone LLM.
@@ -650,7 +624,6 @@ impl DiagnosisService {
             counters: ServiceCounters::new(),
             retriever,
             store: store.map(Mutex::new),
-            intra_threads: config.intra_threads.max(1),
             deadline: config.deadline,
             fault_plan: config.fault_plan.clone().unwrap_or_default(),
             resilience: config
@@ -862,21 +835,9 @@ impl Drop for DiagnosisService {
 }
 
 fn worker_loop(shared: &Shared, worker_idx: usize) {
-    // Every job this worker runs is pinned to a rayon-shim pool of the
-    // configured intra-job width, making the daemon's thread budget an
-    // explicit `workers × intra_threads` product: width 1 (the default)
-    // keeps hot loops sequential inside each job regardless of the global
-    // pool or `RAYON_NUM_THREADS`; wider pools split retrieval
-    // reflection and content generation within the job. Model latency
-    // overlaps at any width (a stage's LLM calls are in flight together
-    // on this thread). Diagnosis output is bit-identical at any width.
-    let intra_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(shared.intra_threads)
-        .build()
-        .expect("intra-job thread pool");
     while let Some(job) = shared.queue.pop() {
         shared.counters.workers_busy.add(1);
-        serve_job(shared, job, worker_idx, &intra_pool);
+        serve_job(shared, job, worker_idx);
         shared.counters.workers_busy.sub(1);
     }
     ioobserve::tracer().flush();
@@ -886,7 +847,7 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
 /// cache, or execute it; then record and reply. A panic while executing
 /// is caught and answered as an `internal` failure, so one bad job costs
 /// one reply, never the worker or the waiters queued behind it.
-fn serve_job(shared: &Shared, job: QueuedJob, worker_idx: usize, intra_pool: &rayon::ThreadPool) {
+fn serve_job(shared: &Shared, job: QueuedJob, worker_idx: usize) {
     let tracer = ioobserve::tracer();
     let queue_wait = job.enqueued.elapsed();
     let started = Instant::now();
@@ -895,8 +856,7 @@ fn serve_job(shared: &Shared, job: QueuedJob, worker_idx: usize, intra_pool: &ra
     // instant, so its duration is true wall time (queue wait + exec)
     // and `stage.queue_wait` tiles the pre-dequeue part exactly. It
     // stays on this thread's span stack, parenting every stage span
-    // the pipeline opens below (with `intra_threads` 1 — the default
-    // — all job work runs on this thread).
+    // the pipeline opens below (all job work runs on this thread).
     let mut job_span = tracer.span_at("job", job.enqueued_ns, 0);
     job_span.set_attr("id", &job.request.id);
     job_span.set_attr("trace_id", &job.trace_id);
@@ -930,17 +890,8 @@ fn serve_job(shared: &Shared, job: QueuedJob, worker_idx: usize, intra_pool: &ra
         // A duplicate completed while this job sat in the queue.
         unexecuted(diagnosis, true, None)
     } else {
-        let execute = || {
-            execute_fresh(
-                shared,
-                &job,
-                worker_idx,
-                intra_pool,
-                queue_wait,
-                started,
-                &mut job_span,
-            )
-        };
+        let execute =
+            || execute_fresh(shared, &job, worker_idx, queue_wait, started, &mut job_span);
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(execute)) {
             Ok(result) => result,
             Err(_) => {
@@ -988,7 +939,6 @@ fn execute_fresh(
     shared: &Shared,
     job: &QueuedJob,
     worker_idx: usize,
-    intra_pool: &rayon::ThreadPool,
     queue_wait: Duration,
     started: Instant,
     job_span: &mut ioobserve::Span,
@@ -1005,7 +955,7 @@ fn execute_fresh(
         job.request.config.clone(),
         Arc::clone(&shared.retriever),
     );
-    let diagnosis = intra_pool.install(|| agent.diagnose(&job.request.trace));
+    let diagnosis = agent.diagnose(&job.request.trace);
     let (backbone, reflection) = (model.usage(), agent.reflection_usage());
     let failure = model.take_failure();
     job_span.set_attr("llm_waves", agent.llm_waves());
@@ -1111,18 +1061,14 @@ mod tests {
         let service = DiagnosisService::start(ServiceConfig::with_workers(1).cache_capacity(0));
         let shared = Arc::clone(&service.shared);
         service.shutdown();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
         let (bad, bad_reply) = unchecked("bad", &trace, "no-such-model");
-        serve_job(&shared, bad, 3, &pool);
+        serve_job(&shared, bad, 3);
         let failed = bad_reply.recv().unwrap();
         assert_eq!(failed.failure, Some(JobFailure::Internal));
         assert_eq!((failed.id.as_str(), failed.worker), ("bad", 3));
 
         let (good, good_reply) = unchecked("good", &trace, "gpt-4o-mini");
-        serve_job(&shared, good, 3, &pool);
+        serve_job(&shared, good, 3);
         let served = good_reply.recv().unwrap();
         assert!(served.failure.is_none(), "{:?}", served.failure);
         assert!(!served.diagnosis.text.is_empty());

@@ -50,8 +50,8 @@ pub struct TraceReport {
     pub coverage_min: f64,
     /// Mean per-job stage coverage.
     pub coverage_mean: f64,
-    /// Spans whose root ancestor is not a `job` span (cross-pool work
-    /// that could not be attributed; reported, never guessed).
+    /// Spans whose root ancestor is not a `job` span (work that could
+    /// not be attributed to a job; reported, never guessed).
     pub orphan_spans: u64,
 }
 

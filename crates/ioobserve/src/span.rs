@@ -19,12 +19,14 @@
 //! # Parenting
 //!
 //! Within a thread, spans nest automatically: each live span sits on a
-//! thread-local stack and new spans adopt the top as their parent. Work
-//! that hops threads (the rayon-shim `par_iter` inside a job) passes the
-//! parent id explicitly via [`Tracer::span_child`]; spans whose parent
-//! cannot be known (e.g. deep library calls on a foreign pool thread)
-//! simply record parent 0 and are reported as unattributed by
-//! `trace-report` rather than guessed.
+//! thread-local stack and new spans adopt the top as their parent. A job
+//! runs on the one thread that serves it, so its spans all nest this way;
+//! the explicit-parent forms ([`Tracer::span_at`],
+//! [`Tracer::span_child_fine`]) only name a parent opened elsewhere on the
+//! same thread, or one whose guard is gone (a queue wait observed before
+//! the worker opened its job). Spans whose parent cannot be known record
+//! parent 0 and are reported as unattributed by `trace-report` rather
+//! than guessed.
 //!
 //! # Determinism
 //!
@@ -38,7 +40,6 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::Histogram;
 use crate::report::{JOB_SPAN, STAGE_PREFIX};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -399,8 +400,8 @@ thread_local! {
     /// `(tracer token, root span id, record)`. A fine span whose root is
     /// live on *this* thread's stack buffers here — a plain push, no
     /// lock — and is drained when that root drops (necessarily on this
-    /// thread, after all of its children). Only cross-thread fine spans
-    /// fall back to the tracer's shared `pending` map.
+    /// thread, after all of its children). A fine span whose root is not
+    /// on its thread is written unconditionally instead.
     static TAIL_LOCAL: RefCell<Vec<(usize, u64, SpanRecord)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -480,32 +481,19 @@ impl std::fmt::Display for TailRule {
     }
 }
 
-/// Shared state of a tail-sampling tracer: which live *coarse* span
-/// belongs to which root, the undecided fine spans per root, and the
+/// Shared state of a tail-sampling tracer: the rule and the
 /// job-duration distribution that percentile rules threshold against.
 ///
-/// The hot path (one fine span per LLM call / fragment / scan, hundreds
-/// per job) resolves its root from the thread-local span stack and
-/// buffers its unrendered record in the thread-local `TAIL_LOCAL` — no
-/// shared state is touched at all. Rendering to NDJSON happens only for
-/// kept jobs. Coarse spans (a handful per job) register in `roots` so
-/// cross-thread children with an explicit parent id can find their
-/// root; only those cross-thread fine spans use the shared `pending`
-/// map.
+/// Every span resolves its root from the thread-local span stack, and a
+/// fine span (one per LLM call / fragment / scan, hundreds per job)
+/// buffers its unrendered record in the thread-local `TAIL_LOCAL`, so
+/// the span path touches no shared state at all. Rendering to NDJSON
+/// happens only for kept jobs. A fine span whose root is not on its
+/// thread's stack cannot be judged with its job and is written
+/// unconditionally, never lost.
 #[derive(Debug)]
 struct TailState {
     rule: TailRule,
-    /// Live *coarse* span id → its root span id. Entries live exactly as
-    /// long as the span guard; cross-thread children resolve their root
-    /// here at open time (the parent guard is necessarily still alive
-    /// then). Fine spans are never registered: in practice they parent
-    /// only same-thread children, which resolve via the span stack, and
-    /// an unresolvable fine span is written unconditionally, never lost.
-    roots: Mutex<HashMap<u64, u64>>,
-    /// Root span id → unrendered fine-span records awaiting the
-    /// verdict. Only *cross-thread* fine spans land here; same-thread
-    /// ones (the hot path) buffer in the thread-local `TAIL_LOCAL`.
-    pending: Mutex<HashMap<u64, Vec<SpanRecord>>>,
     /// Durations of completed `job` roots.
     job_ns: Histogram,
 }
@@ -514,8 +502,6 @@ impl TailState {
     fn new(rule: TailRule) -> TailState {
         TailState {
             rule,
-            roots: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
             job_ns: Histogram::default(),
         }
     }
@@ -716,7 +702,9 @@ impl Tracer {
         self.innermost(inner).map_or(0, |l| l.id)
     }
 
-    /// Fine-detail variant of [`Tracer::span_child`].
+    /// Open a fine-detail span with an explicit parent id (records only
+    /// when [`Tracer::fine_detail`] is on), e.g. several sibling calls
+    /// under the span that was innermost when their batch started.
     pub fn span_child_fine(&self, name: &str, parent: u64) -> Span {
         if self.fine_detail() {
             let Some(inner) = &self.inner else {
@@ -726,15 +714,6 @@ impl Tracer {
         } else {
             Span { state: None }
         }
-    }
-
-    /// Open a span with an explicit parent id — the cross-thread form
-    /// (pass the enclosing span's [`Span::id`] into the worker closure).
-    pub fn span_child(&self, name: &str, parent: u64) -> Span {
-        let Some(inner) = &self.inner else {
-            return Span { state: None };
-        };
-        self.open(inner, name, inner.clock.now_ns(), parent, false)
     }
 
     /// Open a span with an explicit start time and parent — for phases
@@ -759,12 +738,9 @@ impl Tracer {
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let token = Arc::as_ptr(inner) as usize;
         let mut root = 0;
-        if let Some(tail) = &inner.tail {
-            // Resolve this span's root while the parent guard is still
-            // alive. Same-thread parents (the overwhelmingly common case,
-            // and every fine-span open) resolve from the thread-local
-            // stack; only cross-thread children with an explicit parent
-            // id fall back to the shared map of live coarse spans.
+        if inner.tail.is_some() {
+            // Resolve this span's root from the parent on this thread's
+            // stack; a parent that is not there leaves the root unknown.
             root = if parent == 0 {
                 id
             } else {
@@ -776,12 +752,8 @@ impl Tracer {
                             .find(|l| l.token == token && l.id == parent)
                             .map(|l| l.root)
                     })
-                    .or_else(|| lock(&tail.roots).get(&parent).copied())
                     .unwrap_or(0)
             };
-            if !fine {
-                lock(&tail.roots).insert(id, root);
-            }
         }
         SPAN_STACK.with(|s| {
             s.borrow_mut().push(LiveSpan {
@@ -863,8 +835,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// This span's id (0 when the tracer is disabled) — pass it to
-    /// [`Tracer::span_child`] from worker closures.
+    /// This span's id (0 when the tracer is disabled) — pass it as the
+    /// explicit parent of [`Tracer::span_at`].
     pub fn id(&self) -> u64 {
         self.state.as_ref().map_or(0, |s| s.record.id)
     }
@@ -918,7 +890,8 @@ impl SpanState {
         // top; out-of-order drops just remove the matching entry). In the
         // same borrow, a coarse stage marks where its parent's next stage
         // starts, and a tail-sampled fine span checks whether its root is
-        // live on this thread, which decides where the record buffers.
+        // live on this thread, which decides whether the record waits for
+        // that root's verdict.
         let mut root_is_local = false;
         let stage = !s.fine && s.record.name.starts_with(STAGE_PREFIX);
         SPAN_STACK.with(|st| {
@@ -948,23 +921,17 @@ impl SpanState {
         });
         let is_root = s.record.parent == 0;
         if let Some(tail) = &s.tracer.tail {
-            if !s.fine {
-                lock(&tail.roots).remove(&s.record.id);
-            }
             if is_root {
                 // The verdict point: this root's buffered fine spans are
                 // either rendered and flushed (before the root line, so
                 // children precede their job in the file) or dropped
-                // unrendered — the common, fast case. Same-thread spans
-                // sit in this thread's buffer; cross-thread ones in the
-                // shared map.
+                // unrendered — the common, fast case.
                 let local: Vec<SpanRecord> = TAIL_LOCAL.with(|p| {
                     p.borrow_mut()
                         .extract_if(.., |&mut (t, r, _)| t == token && r == s.record.id)
                         .map(|(_, _, rec)| rec)
                         .collect()
                 });
-                let shared = lock(&tail.pending).remove(&s.record.id);
                 let keep = if s.record.name == JOB_SPAN {
                     let threshold = tail.threshold_ns();
                     let duration = s.record.duration_ns();
@@ -975,7 +942,7 @@ impl SpanState {
                 };
                 if keep {
                     let mut text = String::new();
-                    for rec in local.iter().chain(shared.iter().flatten()) {
+                    for rec in &local {
                         text.push_str(&rec.to_ndjson());
                         text.push('\n');
                     }
@@ -983,18 +950,14 @@ impl SpanState {
                         s.tracer.sink.append(&text);
                     }
                 }
-            } else if buffer_locally {
+            } else if root_is_local {
                 let rec = std::mem::take(&mut s.record);
-                if root_is_local {
-                    TAIL_LOCAL.with(|p| p.borrow_mut().push((token, s.root, rec)));
-                } else {
-                    lock(&tail.pending).entry(s.root).or_default().push(rec);
-                }
+                TAIL_LOCAL.with(|p| p.borrow_mut().push((token, s.root, rec)));
                 return;
             }
-            // Fine spans whose root is unknown (explicit parent that was
-            // never seen) fall through and are written unconditionally —
-            // never guessed, never lost.
+            // Fine spans whose root is unknown or not on this thread fall
+            // through and are written unconditionally — never guessed,
+            // never lost.
         }
         let line = s.record.to_ndjson();
         BUFFERS.with(|b| {
@@ -1208,8 +1171,8 @@ mod tests {
             .unwrap();
         assert_eq!(wait.parent, root_id);
         assert_eq!((wait.start_ns, wait.end_ns), (120, 500));
-        // span_child adopts the explicit parent even with an empty stack.
-        let child = t.span_child("fragment", 999);
+        // span_at adopts the explicit parent even with an empty stack.
+        let child = t.span_at("fragment", t.now_ns(), 999);
         drop(child);
         let records = t.drain_memory();
         assert_eq!(records[0].parent, 999);
@@ -1224,7 +1187,7 @@ mod tests {
                 std::thread::spawn(move || {
                     // Non-root span: stays in the thread buffer until the
                     // thread exits (roots would flush immediately).
-                    drop(t.span_child("fragment", 1).with_attr("i", i));
+                    drop(t.span_at("fragment", t.now_ns(), 1).with_attr("i", i));
                 })
             })
             .collect();
@@ -1322,28 +1285,29 @@ mod tests {
         }
         let records = t.drain_memory();
         assert!(records.iter().any(|r| r.name == "llm.call"));
+    }
 
-        // Cross-thread fine child resolves its root through the live map
-        // and is judged with its job.
+    #[test]
+    fn tail_sampling_writes_fine_spans_whose_root_is_off_thread() {
+        let clock = Arc::new(VirtualClock::new());
+        let t = tail_tracer(&clock, "10ms");
+        // A fast job, whose own fine spans are dropped, with a fine child
+        // opened on another thread: its root is not on that thread's
+        // stack, so it cannot be judged with the job and is written
+        // unconditionally, never lost.
         let job = t.span("job");
         let job_id = job.id();
-        let th = {
-            let t2 = Tracer {
-                inner: t.inner.clone(),
-            };
-            let clock2 = Arc::clone(&clock);
-            std::thread::spawn(move || {
-                drop(t2.span_child_fine("vecindex.scan", job_id));
-                clock2.advance(30_000_000);
-            })
-        };
-        th.join().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                drop(t.span_child_fine("vecindex.scan", job_id));
+                t.flush();
+            });
+        });
+        drop(t.span_fine("llm.call"));
+        clock.advance(1_000_000);
         drop(job);
-        let records = t.drain_memory();
-        assert!(
-            records.iter().any(|r| r.name == "vecindex.scan"),
-            "slow job keeps cross-thread fine span"
-        );
+        let names: Vec<String> = t.drain_memory().into_iter().map(|r| r.name).collect();
+        assert_eq!(names, ["vecindex.scan", "job"]);
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub use bias::position_rank_matrix;
 pub use criteria::Criterion;
 pub use scoring::{Evaluation, ScoreKey};
 
-use rayon::prelude::*;
 use simllm::{CompletionRequest, Diagnosis, LanguageModel};
 use tracebench::{LabeledTrace, TraceBench};
 
@@ -200,9 +199,8 @@ impl<'m> Judge<'m> {
     }
 
     /// Evaluate the full suite for a set of tool runs, producing the paper's
-    /// normalised scores (Table IV). Traces are judged in parallel; per-trace
-    /// rows are collected in suite order and aggregated sequentially, so
-    /// scores (f64 sums included) are identical at any thread count.
+    /// normalised scores (Table IV). Traces are judged and aggregated in
+    /// suite order, criterion by criterion.
     pub fn evaluate(&self, suite: &TraceBench, runs: &[ToolRun]) -> Evaluation {
         for run in runs {
             assert_eq!(
@@ -212,27 +210,15 @@ impl<'m> Judge<'m> {
                 run.tool
             );
         }
-        let per_trace: Vec<Vec<(Criterion, Vec<f64>)>> = suite
-            .entries
-            .par_iter()
-            .enumerate()
-            .map(|(ti, entry)| {
-                let candidates: Vec<&Diagnosis> = runs.iter().map(|r| &r.diagnoses[ti]).collect();
-                Criterion::ALL
-                    .into_iter()
-                    .map(|c| (c, self.mean_ranks(entry, c, &candidates)))
-                    .collect()
-            })
-            .collect();
-
         let mut eval = Evaluation::new(runs.iter().map(|r| r.tool.clone()).collect(), runs.len());
-        for (ti, rows) in per_trace.iter().enumerate() {
-            let source = suite.entries[ti].spec.source;
-            for (criterion, ranks) in rows {
+        for (ti, entry) in suite.entries.iter().enumerate() {
+            let candidates: Vec<&Diagnosis> = runs.iter().map(|r| &r.diagnoses[ti]).collect();
+            for criterion in Criterion::ALL {
+                let ranks = self.mean_ranks(entry, criterion, &candidates);
                 for (tool_idx, rank) in ranks.iter().enumerate() {
                     // S = (max_rank − rank); normalisation happens later.
                     let score = runs.len() as f64 - rank;
-                    eval.add_sample(tool_idx, *criterion, source, score);
+                    eval.add_sample(tool_idx, criterion, entry.spec.source, score);
                 }
             }
         }

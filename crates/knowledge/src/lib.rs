@@ -83,14 +83,6 @@ pub fn corpus_hash() -> u64 {
     hash_docs(CORPUS)
 }
 
-/// All documents asserting a claim.
-pub fn docs_for_claim(claim: &str) -> Vec<&'static KnowledgeDoc> {
-    CORPUS
-        .iter()
-        .filter(|d| d.claims.contains(&claim))
-        .collect()
-}
-
 use claims::*;
 
 const CORPUS: &[KnowledgeDoc] = &[
@@ -904,8 +896,8 @@ mod tests {
     #[test]
     fn every_claim_is_substantiated_by_multiple_docs() {
         for c in claims::ALL {
-            let docs = docs_for_claim(c);
-            assert!(docs.len() >= 2, "claim {c} covered by {} docs", docs.len());
+            let docs = corpus().iter().filter(|d| d.claims.contains(c)).count();
+            assert!(docs >= 2, "claim {c} covered by {docs} docs");
         }
     }
 

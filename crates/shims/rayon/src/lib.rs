@@ -1,600 +1,12 @@
-//! Offline shim standing in for `rayon` with *real* multi-threaded
-//! execution. `par_iter()` / `into_par_iter()` split slices, vectors, and
-//! ranges into per-worker chunks, execute them on scoped threads drawn from
-//! a lazily-initialised global pool (sized from `available_parallelism`,
-//! overridable via `RAYON_NUM_THREADS`), and reassemble every `map →
-//! collect` in input order — so results are bit-identical to the sequential
-//! path no matter the thread count or scheduling.
+//! Offline shim standing in for the sliver of `rayon` that `perfbench`
+//! compiles against: `ThreadPoolBuilder::{new, num_threads, build}` and
+//! `ThreadPool::install`.
 //!
-//! Scheduling is a self-balancing chunk queue: each parallel operation cuts
-//! its input into more chunks than workers and the workers claim chunks
-//! from a shared atomic cursor, so a slow chunk does not stall the rest
-//! (poor man's work stealing, without the per-task deques). Nested
-//! parallel calls draw worker tokens from the same pool budget: a `par_iter`
-//! inside a `par_iter` runs inline once the budget is spent, which caps the
-//! total live threads at the pool width however deep the nesting goes.
-//! Panics propagate to the caller of `collect`/`join` (after in-flight
-//! chunks finish) and always return their worker tokens, so a panicking
-//! closure can neither deadlock nor shrink the pool.
-//!
-//! This shim pairs with the `ioagentd` worker pool: the daemon parallelises
-//! *across* diagnosis jobs, the shim parallelises the hot loops *inside*
-//! one job (per-fragment diagnosis, retrieval reflection, merge levels,
-//! judge traces). See README "Parallelism model" for the thread-budget
-//! interaction.
-
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Chunks handed out per live worker: more chunks than workers lets fast
-/// workers claim extra chunks, balancing uneven per-item cost.
-const CHUNKS_PER_WORKER: usize = 4;
-
-fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-// ---------------------------------------------------------------------------
-// Pool sizing and worker-token budget
-// ---------------------------------------------------------------------------
-
-/// Shared state of one pool: a fixed width and the spare worker tokens
-/// parallel operations may still claim (the calling thread always
-/// participates, so `width - 1` tokens exist).
-#[derive(Debug)]
-struct PoolState {
-    width: usize,
-    spare: AtomicUsize,
-}
-
-impl PoolState {
-    fn new(width: usize) -> Arc<PoolState> {
-        let width = width.max(1);
-        Arc::new(PoolState {
-            width,
-            spare: AtomicUsize::new(width - 1),
-        })
-    }
-
-    /// Claim up to `want` spare worker tokens (possibly zero).
-    fn acquire(&self, want: usize) -> usize {
-        if want == 0 {
-            return 0;
-        }
-        let mut current = self.spare.load(Ordering::Acquire);
-        loop {
-            let take = current.min(want);
-            if take == 0 {
-                return 0;
-            }
-            match self.spare.compare_exchange_weak(
-                current,
-                current - take,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return take,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    fn release(&self, tokens: usize) {
-        if tokens > 0 {
-            self.spare.fetch_add(tokens, Ordering::AcqRel);
-        }
-    }
-}
-
-/// Returns claimed worker tokens on drop, so a panicking parallel operation
-/// cannot leak pool capacity (later operations would silently go serial).
-struct BudgetGuard<'a> {
-    state: &'a PoolState,
-    tokens: usize,
-}
-
-impl Drop for BudgetGuard<'_> {
-    fn drop(&mut self) {
-        self.state.release(self.tokens);
-    }
-}
-
-/// Parse a `RAYON_NUM_THREADS`-style width. `0` clamps to 1 (a pool always
-/// has the calling thread); non-numeric values are ignored.
-fn parse_env_width(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok().map(|n| n.max(1))
-}
-
-/// Default pool width: `RAYON_NUM_THREADS` if set and parseable, else the
-/// machine's available parallelism.
-fn default_width() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| parse_env_width(&v))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// The lazily-initialised global pool (first parallel operation wins).
-fn global_state() -> &'static Arc<PoolState> {
-    static GLOBAL: OnceLock<Arc<PoolState>> = OnceLock::new();
-    GLOBAL.get_or_init(|| PoolState::new(default_width()))
-}
-
-thread_local! {
-    /// Pool the current thread is bound to (via [`ThreadPool::install`] or
-    /// by being a worker of an in-flight operation); `None` = global pool.
-    static CURRENT: RefCell<Option<Arc<PoolState>>> = const { RefCell::new(None) };
-}
-
-fn current_state() -> Arc<PoolState> {
-    CURRENT
-        .with(|c| c.borrow().clone())
-        .unwrap_or_else(|| Arc::clone(global_state()))
-}
-
-/// Width of the pool the calling thread would run parallel work on.
-pub fn current_num_threads() -> usize {
-    current_state().width
-}
-
-/// Restores the previous pool binding on drop (panic-safe).
-struct BindGuard {
-    previous: Option<Arc<PoolState>>,
-}
-
-fn bind(state: Arc<PoolState>) -> BindGuard {
-    let previous = CURRENT.with(|c| c.borrow_mut().replace(state));
-    BindGuard { previous }
-}
-
-impl Drop for BindGuard {
-    fn drop(&mut self) {
-        let previous = self.previous.take();
-        CURRENT.with(|c| *c.borrow_mut() = previous);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execution engine
-// ---------------------------------------------------------------------------
-
-/// Evenly partition `len` items into at most `chunks` non-empty spans.
-fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let chunks = chunks.clamp(1, len.max(1));
-    let base = len / chunks;
-    let rem = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < rem);
-        out.push((start, start + size));
-        start += size;
-    }
-    out
-}
-
-/// Run a parallel source to completion, returning its items in input order.
-fn run_to_vec<S: ParallelSource>(source: S) -> Vec<S::Item> {
-    let len = source.par_len();
-    if len == 0 {
-        // Empty input returns before any pool is consulted (or even
-        // lazily initialised).
-        return Vec::new();
-    }
-    let state = current_state();
-    let extra = state.acquire(state.width.min(len).saturating_sub(1));
-    let _budget = BudgetGuard {
-        state: &state,
-        tokens: extra,
-    };
-    if extra == 0 {
-        // Width 1, a single item, or the budget was already claimed by an
-        // enclosing parallel operation: run inline on the calling thread.
-        let mut out = Vec::with_capacity(len);
-        for (_, sub) in source.par_split(1) {
-            out.extend(sub);
-        }
-        return out;
-    }
-
-    let workers = extra + 1; // claimed tokens + the calling thread
-    let n_chunks = len.min(workers * CHUNKS_PER_WORKER);
-    // Ordered chunk queue: workers claim chunk indices from the cursor and
-    // deposit results into the slot of the same index, so concatenation
-    // reproduces input order exactly.
-    let tasks: Vec<Mutex<Option<S::SubIter>>> = source
-        .par_split(n_chunks)
-        .into_iter()
-        .map(|(_, sub)| Mutex::new(Some(sub)))
-        .collect();
-    let results: Vec<Mutex<Vec<S::Item>>> =
-        (0..tasks.len()).map(|_| Mutex::new(Vec::new())).collect();
-    let cursor = AtomicUsize::new(0);
-
-    let run_chunks = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= tasks.len() {
-            break;
-        }
-        let sub = lock(&tasks[i]).take().expect("chunk claimed twice");
-        let items: Vec<S::Item> = sub.collect();
-        *lock(&results[i]) = items;
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..extra {
-            let worker_pool = Arc::clone(&state);
-            let run_chunks = &run_chunks;
-            scope.spawn(move || {
-                // Workers inherit the pool binding: nested parallel calls
-                // draw from the same (already spent) budget instead of
-                // spawning a fresh thread explosion.
-                let _bind = bind(worker_pool);
-                run_chunks();
-            });
-        }
-        run_chunks();
-        // A panic in any worker (or in the calling thread's chunks above)
-        // propagates out of the scope once all threads have joined.
-    });
-
-    let mut out = Vec::with_capacity(len);
-    for slot in results {
-        out.extend(slot.into_inner().unwrap_or_else(PoisonError::into_inner));
-    }
-    out
-}
-
-/// Run `oper_a` and `oper_b`, potentially in parallel, returning both
-/// results. Panics in either closure propagate to the caller.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let state = current_state();
-    let extra = state.acquire(1);
-    let _budget = BudgetGuard {
-        state: &state,
-        tokens: extra,
-    };
-    if extra == 0 {
-        return (oper_a(), oper_b());
-    }
-    std::thread::scope(|scope| {
-        let worker_pool = Arc::clone(&state);
-        let handle = scope.spawn(move || {
-            let _bind = bind(worker_pool);
-            oper_b()
-        });
-        let ra = oper_a();
-        match handle.join() {
-            Ok(rb) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Parallel iterator sources and adapters
-// ---------------------------------------------------------------------------
-
-/// Parallel iterator machinery: sources over slices / vectors / ranges and
-/// the `map` / `enumerate` adapters, all splittable into ordered chunks.
-pub mod iter {
-    use super::{chunk_bounds, run_to_vec};
-    use std::ops::Range;
-
-    /// Something splittable into ordered, independently-runnable chunks —
-    /// the internal contract every parallel iterator satisfies.
-    pub trait ParallelSource: Sized {
-        /// Item the iterator yields.
-        type Item: Send;
-        /// Sequential iterator over one chunk.
-        type SubIter: Iterator<Item = Self::Item> + Send;
-
-        /// Exact number of items.
-        fn par_len(&self) -> usize;
-
-        /// Split into at most `chunks` ordered pieces; each entry carries
-        /// the global index of its first item.
-        fn par_split(self, chunks: usize) -> Vec<(usize, Self::SubIter)>;
-    }
-
-    /// User-facing adapter surface, blanket-implemented for every source.
-    pub trait ParallelIterator: ParallelSource {
-        /// Parallel map. The closure is shared across worker threads
-        /// (`Sync + Send`) and cloned into each chunk (`Clone` — free for
-        /// the usual reference-capturing closures).
-        fn map<R, F>(self, f: F) -> Map<Self, F>
-        where
-            R: Send,
-            F: Fn(Self::Item) -> R + Sync + Send + Clone,
-        {
-            Map { base: self, f }
-        }
-
-        /// Attach the global input index to every item.
-        fn enumerate(self) -> Enumerate<Self> {
-            Enumerate { base: self }
-        }
-
-        /// Execute in parallel and collect in input order. Output is
-        /// bit-identical to the sequential `iter()` equivalent.
-        fn collect<C>(self) -> C
-        where
-            C: FromParallelIterator<Self::Item>,
-        {
-            C::from_par_source(self)
-        }
-    }
-
-    impl<S: ParallelSource> ParallelIterator for S {}
-
-    /// Collection types a parallel iterator can terminate into.
-    pub trait FromParallelIterator<T: Send>: Sized {
-        /// Build from a parallel source (items arrive in input order).
-        fn from_par_source<S: ParallelSource<Item = T>>(source: S) -> Self;
-    }
-
-    impl<T: Send> FromParallelIterator<T> for Vec<T> {
-        fn from_par_source<S: ParallelSource<Item = T>>(source: S) -> Self {
-            run_to_vec(source)
-        }
-    }
-
-    /// `.par_iter()` on `&self`: borrowing parallel iteration.
-    pub trait IntoParallelRefIterator<'data> {
-        /// The borrowing parallel iterator.
-        type Iter: ParallelIterator;
-
-        /// Parallel iterator over shared references.
-        fn par_iter(&'data self) -> Self::Iter;
-    }
-
-    impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-        type Iter = SliceParIter<'data, T>;
-        fn par_iter(&'data self) -> SliceParIter<'data, T> {
-            SliceParIter { slice: self }
-        }
-    }
-
-    impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-        type Iter = SliceParIter<'data, T>;
-        fn par_iter(&'data self) -> SliceParIter<'data, T> {
-            SliceParIter { slice: self }
-        }
-    }
-
-    /// `.into_par_iter()`: consuming parallel iteration.
-    pub trait IntoParallelIterator {
-        /// Item type.
-        type Item: Send;
-        /// The consuming parallel iterator.
-        type Iter: ParallelIterator<Item = Self::Item>;
-
-        /// Convert into a parallel iterator.
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl<T: Send> IntoParallelIterator for Vec<T> {
-        type Item = T;
-        type Iter = VecParIter<T>;
-        fn into_par_iter(self) -> VecParIter<T> {
-            VecParIter { vec: self }
-        }
-    }
-
-    /// Borrowing parallel iterator over a slice.
-    #[derive(Debug)]
-    pub struct SliceParIter<'data, T> {
-        slice: &'data [T],
-    }
-
-    impl<'data, T: Sync> ParallelSource for SliceParIter<'data, T> {
-        type Item = &'data T;
-        type SubIter = std::slice::Iter<'data, T>;
-
-        fn par_len(&self) -> usize {
-            self.slice.len()
-        }
-
-        fn par_split(self, chunks: usize) -> Vec<(usize, Self::SubIter)> {
-            chunk_bounds(self.slice.len(), chunks)
-                .into_iter()
-                .map(|(start, end)| (start, self.slice[start..end].iter()))
-                .collect()
-        }
-    }
-
-    /// Consuming parallel iterator over a vector.
-    #[derive(Debug)]
-    pub struct VecParIter<T> {
-        vec: Vec<T>,
-    }
-
-    impl<T: Send> ParallelSource for VecParIter<T> {
-        type Item = T;
-        type SubIter = std::vec::IntoIter<T>;
-
-        fn par_len(&self) -> usize {
-            self.vec.len()
-        }
-
-        fn par_split(self, chunks: usize) -> Vec<(usize, Self::SubIter)> {
-            let bounds = chunk_bounds(self.vec.len(), chunks);
-            let mut rest = self.vec;
-            let mut out: Vec<(usize, std::vec::IntoIter<T>)> = Vec::with_capacity(bounds.len());
-            for &(start, _) in bounds.iter().rev() {
-                let tail = rest.split_off(start);
-                out.push((start, tail.into_iter()));
-            }
-            out.reverse();
-            out
-        }
-    }
-
-    /// Consuming parallel iterator over an integer range.
-    #[derive(Debug)]
-    pub struct RangeParIter<T> {
-        range: Range<T>,
-    }
-
-    macro_rules! range_par_iter {
-        ($($t:ty),* $(,)?) => {$(
-            impl ParallelSource for RangeParIter<$t> {
-                type Item = $t;
-                type SubIter = Range<$t>;
-
-                fn par_len(&self) -> usize {
-                    if self.range.end <= self.range.start {
-                        0
-                    } else {
-                        (self.range.end as i128 - self.range.start as i128) as usize
-                    }
-                }
-
-                fn par_split(self, chunks: usize) -> Vec<(usize, Range<$t>)> {
-                    let len = self.par_len();
-                    chunk_bounds(len, chunks)
-                        .into_iter()
-                        .map(|(start, end)| {
-                            (
-                                start,
-                                (self.range.start + start as $t)..(self.range.start + end as $t),
-                            )
-                        })
-                        .collect()
-                }
-            }
-
-            impl IntoParallelIterator for Range<$t> {
-                type Item = $t;
-                type Iter = RangeParIter<$t>;
-                fn into_par_iter(self) -> RangeParIter<$t> {
-                    RangeParIter { range: self }
-                }
-            }
-        )*};
-    }
-    range_par_iter!(u32, u64, usize, i32, i64);
-
-    /// Index-attaching adapter (global input indices, chunk-aware).
-    #[derive(Debug)]
-    pub struct Enumerate<S> {
-        base: S,
-    }
-
-    /// One chunk of an [`Enumerate`], counting from its global offset.
-    #[derive(Debug)]
-    pub struct EnumerateSub<I> {
-        inner: I,
-        next: usize,
-    }
-
-    impl<I: Iterator> Iterator for EnumerateSub<I> {
-        type Item = (usize, I::Item);
-        fn next(&mut self) -> Option<(usize, I::Item)> {
-            let item = self.inner.next()?;
-            let index = self.next;
-            self.next += 1;
-            Some((index, item))
-        }
-    }
-
-    impl<S: ParallelSource> ParallelSource for Enumerate<S> {
-        type Item = (usize, S::Item);
-        type SubIter = EnumerateSub<S::SubIter>;
-
-        fn par_len(&self) -> usize {
-            self.base.par_len()
-        }
-
-        fn par_split(self, chunks: usize) -> Vec<(usize, Self::SubIter)> {
-            self.base
-                .par_split(chunks)
-                .into_iter()
-                .map(|(start, inner)| (start, EnumerateSub { inner, next: start }))
-                .collect()
-        }
-    }
-
-    /// Mapping adapter; the closure is cloned into each chunk.
-    #[derive(Debug)]
-    pub struct Map<S, F> {
-        base: S,
-        f: F,
-    }
-
-    /// One chunk of a [`Map`].
-    #[derive(Debug)]
-    pub struct MapSub<I, F> {
-        inner: I,
-        f: F,
-    }
-
-    impl<I, F, R> Iterator for MapSub<I, F>
-    where
-        I: Iterator,
-        F: Fn(I::Item) -> R,
-    {
-        type Item = R;
-        fn next(&mut self) -> Option<R> {
-            self.inner.next().map(&self.f)
-        }
-    }
-
-    impl<S, F, R> ParallelSource for Map<S, F>
-    where
-        S: ParallelSource,
-        R: Send,
-        F: Fn(S::Item) -> R + Sync + Send + Clone,
-    {
-        type Item = R;
-        type SubIter = MapSub<S::SubIter, F>;
-
-        fn par_len(&self) -> usize {
-            self.base.par_len()
-        }
-
-        fn par_split(self, chunks: usize) -> Vec<(usize, Self::SubIter)> {
-            let f = self.f;
-            self.base
-                .par_split(chunks)
-                .into_iter()
-                .map(|(start, inner)| {
-                    (
-                        start,
-                        MapSub {
-                            inner,
-                            f: f.clone(),
-                        },
-                    )
-                })
-                .collect()
-        }
-    }
-}
-
-/// Everything `use rayon::prelude::*` is expected to bring in.
-pub mod prelude {
-    pub use crate::iter::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-    };
-}
-
-use iter::ParallelSource;
-
-// ---------------------------------------------------------------------------
-// ThreadPool / ThreadPoolBuilder
-// ---------------------------------------------------------------------------
+//! The workspace runs each diagnosis job on the one thread that serves it
+//! (threads = `ioagentd` workers; a job overlaps its model latency in
+//! `complete_all` waves, not in threads), so nothing here spawns a thread:
+//! a pool has no width and [`ThreadPool::install`] runs `op` on the calling
+//! thread.
 
 /// Error from [`ThreadPoolBuilder::build`] (never produced by the shim).
 #[derive(Debug)]
@@ -610,267 +22,47 @@ impl std::error::Error for ThreadPoolBuildError {}
 
 /// Builder mirroring `rayon::ThreadPoolBuilder`.
 #[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
+pub struct ThreadPoolBuilder;
 
 impl ThreadPoolBuilder {
-    /// New builder (default width: `RAYON_NUM_THREADS` or the machine).
+    /// New builder.
     pub fn new() -> Self {
-        ThreadPoolBuilder::default()
+        ThreadPoolBuilder
     }
 
-    /// Request an explicit pool width; `0` keeps the default.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
+    /// Accepted for API compatibility; every pool runs on its caller.
+    pub fn num_threads(self, _n: usize) -> Self {
         self
     }
 
-    /// Build the pool. Threads are not spawned up front: the pool is a
-    /// width plus a worker-token budget, and operations running under
-    /// [`ThreadPool::install`] spawn scoped workers against that budget.
+    /// Build the pool; never fails.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let width = if self.num_threads == 0 {
-            default_width()
-        } else {
-            self.num_threads
-        };
-        Ok(ThreadPool {
-            state: PoolState::new(width),
-        })
+        Ok(ThreadPool)
     }
 }
 
-/// A pool: parallel operations inside [`ThreadPool::install`] use this
-/// pool's width and budget instead of the global one.
+/// A pool that runs everything on the calling thread.
 #[derive(Debug)]
-pub struct ThreadPool {
-    state: Arc<PoolState>,
-}
+pub struct ThreadPool;
 
 impl ThreadPool {
-    /// Run `op` bound to this pool. With `num_threads(1)` this forces every
-    /// nested parallel operation to run sequentially on the calling thread
-    /// — the property the equivalence tests pin the parallel path against.
+    /// Run `op` on the calling thread and return its result.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R,
     {
-        let _bind = bind(Arc::clone(&self.state));
         op()
-    }
-
-    /// This pool's width.
-    pub fn current_num_threads(&self) -> usize {
-        self.state.width
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn pool(width: usize) -> super::ThreadPool {
-        super::ThreadPoolBuilder::new()
-            .num_threads(width)
-            .build()
-            .unwrap()
-    }
+    use super::*;
 
     #[test]
-    fn par_iter_matches_sequential() {
-        let v: Vec<i32> = (0..257).collect();
-        for width in [1, 2, 4, 9] {
-            let doubled: Vec<i32> = pool(width).install(|| v.par_iter().map(|x| x * 2).collect());
-            assert_eq!(doubled, v.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn enumerate_carries_global_indices_across_chunks() {
-        let v: Vec<u64> = (0..1000).collect();
-        let indexed: Vec<(usize, u64)> =
-            pool(4).install(|| v.par_iter().enumerate().map(|(i, &x)| (i, x + 1)).collect());
-        for (i, (idx, val)) in indexed.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*val, i as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn into_par_iter_consumes_vec_in_order() {
-        let v: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
-        let expected = v.clone();
-        let out: Vec<String> = pool(4).install(|| v.into_par_iter().collect());
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn range_collect_matches_sequential() {
-        let seq: Vec<u64> = (10..977).collect();
-        let par: Vec<u64> = pool(4).install(|| (10u64..977).into_par_iter().collect());
-        assert_eq!(par, seq);
-        let empty: Vec<i32> = pool(4).install(|| (5i32..5).into_par_iter().collect());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn empty_input_returns_empty_without_touching_the_pool() {
-        // `run_to_vec` returns before consulting (or lazily initialising)
-        // any pool state, so empty inputs cost nothing.
-        let v: Vec<u8> = Vec::new();
-        let out: Vec<u8> = v.par_iter().map(|x| x + 1).collect();
-        assert!(out.is_empty());
-        let out: Vec<usize> = (0usize..0).into_par_iter().collect();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn pool_installs_and_reports_width() {
-        let p = pool(8);
-        assert_eq!(p.current_num_threads(), 8);
-        assert_eq!(p.install(|| 7), 7);
-        assert_eq!(p.install(super::current_num_threads), 8);
-    }
-
-    #[test]
-    fn parallel_chunks_really_run_on_worker_threads() {
-        // Each item sleeps, so the calling thread cannot drain the whole
-        // chunk queue before the (already spawned) workers get scheduled —
-        // with instant items this raced the cursor and flaked on loaded
-        // single-core hosts.
+    fn install_runs_on_the_calling_thread() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let caller = std::thread::current().id();
-        let v: Vec<usize> = (0..16).collect();
-        let seen: Vec<bool> = pool(4).install(|| {
-            v.par_iter()
-                .map(|_| {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    std::thread::current().id() != caller
-                })
-                .collect()
-        });
-        assert!(
-            seen.iter().any(|&off_caller| off_caller),
-            "a 4-wide pool over 16 sleeping items must use at least one worker thread"
-        );
-    }
-
-    #[test]
-    fn env_width_parsing_and_builder_sizing() {
-        // `RAYON_NUM_THREADS` parsing: 0 clamps to 1, garbage is ignored.
-        assert_eq!(super::parse_env_width("0"), Some(1));
-        assert_eq!(super::parse_env_width(" 7 "), Some(7));
-        assert_eq!(super::parse_env_width("three"), None);
-        assert_eq!(super::parse_env_width("-2"), None);
-
-        // The builder honours the environment for its default width. All
-        // env manipulation lives in this single test to avoid races with
-        // the rest of the (parallel) test binary; the original value is
-        // restored at the end.
-        let saved = std::env::var("RAYON_NUM_THREADS").ok();
-        std::env::set_var("RAYON_NUM_THREADS", "3");
-        assert_eq!(
-            super::ThreadPoolBuilder::new()
-                .build()
-                .unwrap()
-                .current_num_threads(),
-            3
-        );
-        std::env::set_var("RAYON_NUM_THREADS", "0");
-        assert_eq!(
-            super::ThreadPoolBuilder::new()
-                .build()
-                .unwrap()
-                .current_num_threads(),
-            1
-        );
-        std::env::remove_var("RAYON_NUM_THREADS");
-        let machine = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(
-            super::ThreadPoolBuilder::new()
-                .build()
-                .unwrap()
-                .current_num_threads(),
-            machine
-        );
-        // Explicit zero also falls back to the default width.
-        assert_eq!(
-            super::ThreadPoolBuilder::new()
-                .num_threads(0)
-                .build()
-                .unwrap()
-                .current_num_threads(),
-            machine
-        );
-        match saved {
-            Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-            None => std::env::remove_var("RAYON_NUM_THREADS"),
-        }
-    }
-
-    #[test]
-    fn nested_parallelism_stays_within_budget_and_correct() {
-        let outer: Vec<u64> = (0..8).collect();
-        let result: Vec<u64> = pool(2).install(|| {
-            outer
-                .par_iter()
-                .map(|&x| {
-                    // Nested parallel op: budget is spent, so this runs
-                    // inline — but must still produce ordered results.
-                    let inner: Vec<u64> = (0..100u64).into_par_iter().map(|i| i * x).collect();
-                    inner.iter().sum()
-                })
-                .collect()
-        });
-        let expected: Vec<u64> = outer.iter().map(|&x| (0..100).sum::<u64>() * x).collect();
-        assert_eq!(result, expected);
-    }
-
-    #[test]
-    fn join_runs_both_and_returns_in_order() {
-        let (a, b) = pool(2).install(|| super::join(|| 1 + 1, || "b"));
-        assert_eq!((a, b), (2, "b"));
-        // Sequential fallback (width 1) gives the same answer.
-        let (a, b) = pool(1).install(|| super::join(|| 1 + 1, || "b"));
-        assert_eq!((a, b), (2, "b"));
-    }
-
-    #[test]
-    fn join_propagates_panics_and_releases_budget() {
-        let p = pool(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.install(|| super::join(|| 1, || panic!("side b")))
-        }));
-        assert!(result.is_err());
-        // The worker token taken by the panicked join must be back.
-        let counter = AtomicUsize::new(0);
-        let (x, y) = p.install(|| {
-            super::join(
-                || counter.fetch_add(1, Ordering::SeqCst),
-                || counter.fetch_add(1, Ordering::SeqCst),
-            )
-        });
-        assert_eq!(x + y, 1); // 0 + 1 in either order
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn map_panic_propagates_and_pool_survives() {
-        let p = pool(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.install(|| {
-                (0..64usize)
-                    .into_par_iter()
-                    .map(|i| if i == 33 { panic!("boom at {i}") } else { i })
-                    .collect::<Vec<_>>()
-            })
-        }));
-        assert!(result.is_err(), "panic must reach the caller");
-        // Budget released on unwind: the same pool still computes.
-        let after: Vec<usize> = p.install(|| (0..64usize).into_par_iter().map(|i| i * 2).collect());
-        assert_eq!(after, (0..64).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(pool.install(|| std::thread::current().id()), caller);
     }
 }

@@ -51,7 +51,6 @@ pub use report::{extract_issues, Diagnosis};
 
 use ioobserve::{Counter, FloatCounter, Histogram};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -209,19 +208,17 @@ impl SimLlm {
     /// A batch's prompts often start alike: the 15 self-reflection
     /// prompts of one retrieval share everything up to their SOURCE text.
     /// The whole lines every prompt of the batch starts with are worked
-    /// once, on the calling thread: their hash state, lines, token count,
-    /// task line and, for `filter`, section scan and FRAGMENT token set.
-    /// Each call then works only its own suffix, split across the current
-    /// shim pool (content generation is the CPU part of a call). Nothing
-    /// outlives the call. The result is byte-identical to working each
-    /// prompt whole. Every attempt span parents on the caller's current
-    /// span, whichever pool thread prepared the request.
+    /// once: their hash state, lines, token count, task line and, for
+    /// `filter`, section scan and FRAGMENT token set. Each call then works
+    /// only its own suffix. Nothing outlives the call. The result is
+    /// byte-identical to working each prompt whole. Every attempt span
+    /// parents on the span that was current when the batch started.
     pub(crate) fn prepare_all(&self, requests: &[CompletionRequest]) -> Vec<Prepared<'_>> {
         let parent_span = ioobserve::tracer().current_span_id();
         let mut lower = Vec::new();
         let prefix = SharedPrefix::of(requests, &mut lower);
         requests
-            .par_iter()
+            .iter()
             .map(|request| self.prepare_under(request, &prefix, parent_span))
             .collect()
     }
@@ -684,13 +681,9 @@ mod tests {
             })
             .collect();
         let latency = std::time::Duration::from_millis(10);
-        let one_thread = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
         let overlapped = SimLlm::new("gpt-4o-mini").with_latency(latency);
         let started = Instant::now();
-        let batch = one_thread.install(|| overlapped.complete_all(&requests));
+        let batch = overlapped.complete_all(&requests);
         let elapsed = started.elapsed();
         assert!(
             elapsed < std::time::Duration::from_millis(30),

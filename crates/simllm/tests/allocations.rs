@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator tallies the allocations made on the
 //! calling thread. Retrieval sends its 15 `filter` prompts as one
-//! `complete_all` batch; on a one-thread shim pool the whole batch runs
-//! on this thread, so the count is exact and the same on every run. A
+//! `complete_all` batch, which runs wholly on the calling thread, so the
+//! count is exact and the same on every run. A
 //! change that adds (or saves) an allocation per call moves the pinned
 //! number by 15.
 
@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Heap allocations (fresh, zeroed and resized) per 15-prompt batch.
-const ALLOCATIONS_PER_BATCH: u64 = 71;
+const ALLOCATIONS_PER_BATCH: u64 = 68;
 
 struct Counting;
 
@@ -78,21 +78,14 @@ fn reflection_batch() -> Vec<CompletionRequest> {
 
 #[test]
 fn a_reflection_batch_allocates_the_pinned_count() {
-    let one_thread = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
     let model = SimLlm::new("gpt-4o-mini");
     let batch = reflection_batch();
-    let used = one_thread.install(|| {
-        // Warm-up: the first delivery looks up the metric handles.
-        let warm = model.complete_all(&batch);
-        let before = allocations();
-        let verdicts = model.complete_all(&batch);
-        let used = allocations() - before;
-        assert_eq!(verdicts, warm);
-        used
-    });
+    // Warm-up: the first delivery looks up the metric handles.
+    let warm = model.complete_all(&batch);
+    let before = allocations();
+    let verdicts = model.complete_all(&batch);
+    let used = allocations() - before;
+    assert_eq!(verdicts, warm);
     assert_eq!(
         used, ALLOCATIONS_PER_BATCH,
         "allocations per 15-prompt filter batch changed"

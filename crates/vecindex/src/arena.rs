@@ -109,10 +109,6 @@ impl VectorArena {
     /// Rows scored per pass by [`VectorArena::dot_block`].
     pub const DOT_BLOCK: usize = 8;
 
-    /// Queries scored per pass by [`VectorArena::dot_block_batch`] (and
-    /// per arena stream by the query-blocked `search_batch`).
-    pub const QUERY_BLOCK: usize = 8;
-
     /// Dot products of `qv` against the [`VectorArena::DOT_BLOCK`] rows
     /// starting at `start` (which must be block-aligned with all 8 rows
     /// present), written to `out[j]` for row `start + j`.
@@ -141,33 +137,6 @@ impl VectorArena {
         let qv = &qv[..dim];
         let block = &self.packed[(start / B) * dim * B..(start / B + 1) * dim * B];
         fold_packed_block(block, qv, out);
-    }
-
-    /// Dot products of many queries against the
-    /// [`VectorArena::DOT_BLOCK`] rows starting at `start` (same
-    /// alignment contract as [`VectorArena::dot_block`]), written to
-    /// `out[q * DOT_BLOCK + j]` for query `q` × row `start + j`.
-    ///
-    /// This is the query-blocked batch kernel: the 8-row packed block
-    /// (`8 × dim` floats — a few KiB, L1-resident after the first pass)
-    /// is streamed from memory **once** and every query of the block is
-    /// scored against it while it is cache-hot, instead of each query
-    /// re-streaming the whole arena from DRAM. Each query's arithmetic
-    /// goes through the *same* 8-lane vertical kernel as a single-query
-    /// scan ([`VectorArena::dot_block`]), so every lane of `out` is
-    /// bit-identical to [`ioembed::dot`]`(query, row)` by construction.
-    pub fn dot_block_batch(&self, queries: &[&[f32]], start: usize, out: &mut [f32]) {
-        const B: usize = VectorArena::DOT_BLOCK;
-        assert_eq!(
-            out.len(),
-            queries.len() * B,
-            "out needs one lane per query × row"
-        );
-        let mut lanes = [0.0f32; B];
-        for (qv, out) in queries.iter().zip(out.chunks_exact_mut(B)) {
-            self.dot_block(qv, start, &mut lanes);
-            out.copy_from_slice(&lanes);
-        }
     }
 }
 
@@ -258,46 +227,6 @@ mod tests {
                     "row {} diverged",
                     start + j
                 );
-            }
-        }
-    }
-
-    /// Every `(query, row)` lane of the query-blocked kernel must be
-    /// bit-identical to the one-row kernel — the batch layout may change
-    /// scheduling, never results.
-    #[test]
-    fn dot_block_batch_is_bit_identical_to_single_dots() {
-        let dim = 37;
-        let mut arena = VectorArena::new(dim);
-        let mut state = 0x1571_7131_eb84_52cdu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) as f32 * if state & 1 == 0 { 1.0 } else { -1e-3 }
-        };
-        for _ in 0..VectorArena::DOT_BLOCK * 2 {
-            let row: Vec<f32> = (0..dim).map(|_| next()).collect();
-            arena.push(&row);
-        }
-        for nq in [1usize, 3, VectorArena::QUERY_BLOCK] {
-            let queries: Vec<Vec<f32>> = (0..nq)
-                .map(|_| (0..dim).map(|_| next()).collect())
-                .collect();
-            let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-            let mut out = vec![0.0f32; nq * VectorArena::DOT_BLOCK];
-            for start in (0..arena.len()).step_by(VectorArena::DOT_BLOCK) {
-                arena.dot_block_batch(&refs, start, &mut out);
-                for (q, qv) in queries.iter().enumerate() {
-                    for j in 0..VectorArena::DOT_BLOCK {
-                        assert_eq!(
-                            out[q * VectorArena::DOT_BLOCK + j].to_bits(),
-                            ioembed::dot(qv, arena.row(start + j)).to_bits(),
-                            "query {q} row {} diverged (nq={nq})",
-                            start + j
-                        );
-                    }
-                }
             }
         }
     }

@@ -4,8 +4,7 @@
 //! Reproduces the paper's LlamaIndex configuration: documents are split into
 //! chunks of 512 tokens with an overlap of 20, each chunk is embedded, and
 //! queries retrieve the top-k chunks by cosine similarity (the paper uses
-//! k = 15 before self-reflection filtering). Batch searches run in parallel
-//! with rayon, mirroring IOAgent's parallel per-fragment retrieval.
+//! k = 15 before self-reflection filtering).
 //!
 //! # Engine layout
 //!
@@ -19,18 +18,9 @@
 //! preserving), and keeps the best k in a bounded heap ([`topk::TopK`]) —
 //! O(n·d + n log k) with zero per-entry allocation. Scores and orderings
 //! are bit-identical to the original scan-score-sort path, which survives
-//! as the executable spec in [`mod@reference`]. Every search, single or
-//! batched, is this exact scan: the index has one layout and no
+//! as the executable spec in [`mod@reference`]. Every search is this
+//! exact scan, on the calling thread: the index has one layout and no
 //! approximate tier.
-//!
-//! # The query-blocked batch
-//!
-//! [`VectorIndex::search_batch`] groups batch queries into blocks of
-//! [`VectorArena::QUERY_BLOCK`] and streams the arena **once per block**
-//! instead of once per query ([`VectorArena::dot_block_batch`] /
-//! [`ioembed::dot_multi`]), turning the DRAM-bandwidth-bound batch into an
-//! arithmetic-bound one. Per-query results stay byte-identical to
-//! [`VectorIndex::search`].
 
 pub mod arena;
 pub mod chunk;
@@ -42,7 +32,6 @@ pub use chunk::{chunk_text, Chunk};
 pub use topk::{top_k, TopK};
 
 use ioembed::Embedder;
-use rayon::prelude::*;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -51,10 +40,6 @@ use std::sync::Arc;
 pub const DEFAULT_CHUNK_SIZE: usize = 512;
 /// Default chunk overlap in tokens.
 pub const DEFAULT_OVERLAP: usize = 20;
-
-/// Rows below which a search scans inline rather than splitting across the
-/// thread pool (spawn overhead would dwarf the scan).
-const MIN_ROWS_PER_SHARD: usize = 1024;
 
 /// One indexed chunk (metadata only; its vector lives in the arena at the
 /// same row index).
@@ -241,32 +226,21 @@ impl VectorIndex {
     /// `total_cmp`-descending / entry-index-ascending order, pinned by
     /// `tests/retrieval_equivalence.rs` and the top-k property test.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        // Take the buffer out of the thread-local rather than holding its
-        // RefCell borrow across the nested parallel scan: with a
-        // work-stealing scheduler (real rayon; this repo's shim never
-        // steals foreign tasks, but don't depend on that), a stolen
-        // sibling `search` on this thread would re-borrow and panic.
-        let mut qv = QUERY_BUF.with(|buf| std::mem::take(&mut *buf.borrow_mut()));
-        {
-            let embed_start = std::time::Instant::now();
-            let _span = ioobserve::tracer().span_fine("vecindex.embed");
-            self.embedder.embed_into(query, &mut qv);
-            ioobserve::metrics()
-                .histogram("vecindex.embed_ns")
-                .record_duration(embed_start.elapsed());
-        }
-        let hits = self.search_embedded(&qv, k);
-        QUERY_BUF.with(|buf| *buf.borrow_mut() = qv);
-        hits
+        QUERY_BUF.with(|buf| {
+            let qv = &mut *buf.borrow_mut();
+            {
+                let embed_start = std::time::Instant::now();
+                let _span = ioobserve::tracer().span_fine("vecindex.embed");
+                self.embedder.embed_into(query, qv);
+                ioobserve::metrics()
+                    .histogram("vecindex.embed_ns")
+                    .record_duration(embed_start.elapsed());
+            }
+            self.search_embedded(qv, k)
+        })
     }
 
     /// [`VectorIndex::search`] with an already-embedded query vector.
-    ///
-    /// Large indexes shard the scan across the rayon pool, each shard
-    /// keeping its own k-heap; shard winners are re-selected through one
-    /// final heap. Because per-row scores do not depend on sharding and
-    /// the heap order is total, the merged result is identical at any
-    /// thread count (pinned by `tests/parallel_equivalence.rs`).
     fn search_embedded(&self, qv: &[f32], k: usize) -> Vec<SearchHit> {
         assert_eq!(qv.len(), self.arena.dim(), "query dimension mismatch");
         let n = self.arena.len();
@@ -284,130 +258,38 @@ impl VectorIndex {
             start: scan_start,
             _span: span,
         };
-        let shards = rayon::current_num_threads().min(n.div_ceil(MIN_ROWS_PER_SHARD));
-        if shards <= 1 {
-            return self.scan_shard(qv, qnorm, 0, n, k).into_sorted_hits();
-        }
-        // Even row partition; shard boundaries cannot change scores.
-        let bounds: Vec<(usize, usize)> = (0..shards)
-            .map(|s| {
-                let base = n / shards;
-                let rem = n % shards;
-                let start = s * base + s.min(rem);
-                (start, start + base + usize::from(s < rem))
-            })
-            .collect();
-        let locals: Vec<Vec<SearchHit>> = bounds
-            .par_iter()
-            .map(|&(start, end)| self.scan_shard(qv, qnorm, start, end, k).into_sorted_hits())
-            .collect();
-        let mut merged = TopK::new(k);
-        for hit in locals.into_iter().flatten() {
-            merged.push(hit.score, hit.entry_idx);
-        }
-        merged.into_sorted_hits()
+        self.scan(qv, qnorm, k).into_sorted_hits()
     }
 
-    /// Score rows `start..end` against the query, keeping the best `k`.
+    /// Score every row against the query, keeping the best `k`.
     ///
     /// Rows go through [`VectorArena::dot_block`] eight at a time so eight
     /// independent accumulator chains pipeline (a single bit-faithful dot
     /// is add-latency-bound); the tail falls back to the one-row kernel.
     /// Both produce bit-identical per-row dots, and rows are offered to
     /// the heap in index order either way.
-    fn scan_shard(&self, qv: &[f32], qnorm: f32, start: usize, end: usize, k: usize) -> TopK {
+    fn scan(&self, qv: &[f32], qnorm: f32, k: usize) -> TopK {
         const BLOCK: usize = VectorArena::DOT_BLOCK;
+        let n = self.arena.len();
+        let full = n - n % BLOCK;
         let mut top = TopK::new(k);
-        let push_single = |top: &mut TopK, i: usize| {
+        let mut dots = [0.0f32; BLOCK];
+        for i in (0..full).step_by(BLOCK) {
+            self.arena.dot_block(qv, i, &mut dots);
+            for (j, &dot) in dots.iter().enumerate() {
+                let score = ioembed::cosine_with_norms(dot, qnorm, self.arena.norm(i + j));
+                top.push(score, i + j);
+            }
+        }
+        for i in full..n {
             let score = ioembed::cosine_with_norms(
                 ioembed::dot(qv, self.arena.row(i)),
                 qnorm,
                 self.arena.norm(i),
             );
             top.push(score, i);
-        };
-        let mut i = start;
-        // Leading rows up to block alignment, then full packed blocks,
-        // then the tail — all offered to the heap in index order.
-        while i < end && !i.is_multiple_of(BLOCK) {
-            push_single(&mut top, i);
-            i += 1;
-        }
-        let mut dots = [0.0f32; BLOCK];
-        while i + BLOCK <= end {
-            self.arena.dot_block(qv, i, &mut dots);
-            for (j, &dot) in dots.iter().enumerate() {
-                let score = ioembed::cosine_with_norms(dot, qnorm, self.arena.norm(i + j));
-                top.push(score, i + j);
-            }
-            i += BLOCK;
-        }
-        while i < end {
-            push_single(&mut top, i);
-            i += 1;
         }
         top
-    }
-
-    /// Run many queries, each returning its own top-k, byte-identical to
-    /// per-query [`VectorIndex::search`] calls.
-    ///
-    /// Queries are embedded once up front, grouped into blocks of
-    /// [`VectorArena::QUERY_BLOCK`], and each block streams the arena
-    /// **once** for all of its queries — the query-blocked kernel that
-    /// reuses every loaded row across the whole block instead of
-    /// re-streaming n×dim floats per query. Blocks run in parallel on the
-    /// rayon pool; blocks are independent, so results are identical at any
-    /// thread width.
-    pub fn search_batch(&self, queries: &[String], k: usize) -> Vec<Vec<SearchHit>> {
-        let embedded: Vec<Vec<f32>> = queries.par_iter().map(|q| self.embedder.embed(q)).collect();
-        let blocks: Vec<&[Vec<f32>]> = embedded.chunks(VectorArena::QUERY_BLOCK).collect();
-        let per_block: Vec<Vec<Vec<SearchHit>>> = blocks
-            .par_iter()
-            .map(|block| {
-                let refs: Vec<&[f32]> = block.iter().map(Vec::as_slice).collect();
-                self.search_block_flat(&refs, k)
-            })
-            .collect();
-        per_block.into_iter().flatten().collect()
-    }
-
-    /// Top-k for one block of ≤ [`VectorArena::QUERY_BLOCK`] queries,
-    /// streaming shared rows once for the whole block.
-    fn search_block_flat(&self, block: &[&[f32]], k: usize) -> Vec<Vec<SearchHit>> {
-        let n = self.arena.len();
-        if n == 0 || k == 0 {
-            return block.iter().map(|_| Vec::new()).collect();
-        }
-        let qnorms: Vec<f32> = block.iter().map(|q| ioembed::norm(q)).collect();
-        const B: usize = VectorArena::DOT_BLOCK;
-        let mut tops: Vec<TopK> = block.iter().map(|_| TopK::new(k)).collect();
-        // Full packed blocks through the query-blocked kernel…
-        let full = n - n % B;
-        let mut dots = vec![0.0f32; block.len() * B];
-        let mut i = 0;
-        while i < full {
-            self.arena.dot_block_batch(block, i, &mut dots);
-            for ((q, top), dot_lanes) in tops.iter_mut().enumerate().zip(dots.chunks_exact(B)) {
-                for (j, &dot) in dot_lanes.iter().enumerate() {
-                    let score = ioembed::cosine_with_norms(dot, qnorms[q], self.arena.norm(i + j));
-                    top.push(score, i + j);
-                }
-            }
-            i += B;
-        }
-        // …then the trailing rows through the one-row multi-query kernel.
-        let mut row_dots = vec![0.0f32; block.len()];
-        for i in full..n {
-            ioembed::dot_multi(block, self.arena.row(i), &mut row_dots);
-            for ((top, &dot), &qnorm) in tops.iter_mut().zip(&row_dots).zip(&qnorms) {
-                top.push(
-                    ioembed::cosine_with_norms(dot, qnorm, self.arena.norm(i)),
-                    i,
-                );
-            }
-        }
-        tops.into_iter().map(TopK::into_sorted_hits).collect()
     }
 }
 
@@ -452,22 +334,6 @@ mod tests {
         let ix = small_index();
         assert_eq!(ix.search("metadata", 1).len(), 1);
         assert!(ix.search("metadata", 100).len() <= ix.len());
-    }
-
-    #[test]
-    fn batch_matches_individual_searches() {
-        let ix = small_index();
-        let queries = vec![
-            "collective aggregation of small writes".to_string(),
-            "stat storm".to_string(),
-        ];
-        let batch = ix.search_batch(&queries, 2);
-        for (q, hits) in queries.iter().zip(&batch) {
-            let single = ix.search(q, 2);
-            let a: Vec<usize> = hits.iter().map(|h| h.entry_idx).collect();
-            let b: Vec<usize> = single.iter().map(|h| h.entry_idx).collect();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -552,31 +418,5 @@ mod tests {
                 assert_eq!(engine, reference, "k={k} q={q:?}");
             }
         }
-    }
-
-    /// Force the sharded path (n ≥ MIN_ROWS_PER_SHARD rows) and check it
-    /// still matches the sequential reference.
-    #[test]
-    fn sharded_scan_matches_reference() {
-        let mut ix = VectorIndex::new(Embedder::new(8), 4, 1);
-        // ~1.3k chunks of repetitive but distinguishable text.
-        for d in 0..40 {
-            let text: String = (0..130)
-                .map(|i| format!("w{} ", (d * 7 + i) % 90))
-                .collect();
-            ix.add_document(&format!("d{d}"), "[C]", &text);
-        }
-        assert!(ix.len() >= MIN_ROWS_PER_SHARD, "len {}", ix.len());
-        let q = "w3 w40 w77";
-        let engine: Vec<(u32, usize)> = ix
-            .search(q, 15)
-            .iter()
-            .map(|h| (h.score.to_bits(), h.entry_idx))
-            .collect();
-        let reference: Vec<(u32, usize)> = reference::search(&ix, q, 15)
-            .iter()
-            .map(|h| (h.score.to_bits(), h.entry_idx))
-            .collect();
-        assert_eq!(engine, reference);
     }
 }

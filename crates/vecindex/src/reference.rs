@@ -7,9 +7,9 @@
 //! `total_cmp` + entry-index tie-break, and truncate to `k`.
 //!
 //! The engine must match it bit for bit — same scores, same order — which
-//! `tests/retrieval_equivalence.rs` pins over the seed knowledge corpus at
-//! 1 and 4 shim threads, and the retrieval benchmark both asserts and uses
-//! as its speedup baseline.
+//! `tests/retrieval_equivalence.rs` pins over the seed knowledge corpus,
+//! and the retrieval benchmark both asserts and uses as its speedup
+//! baseline.
 
 use crate::{SearchHit, VectorIndex};
 
@@ -29,9 +29,4 @@ pub fn search(index: &VectorIndex, query: &str, k: usize) -> Vec<SearchHit> {
     });
     scored.truncate(k);
     scored
-}
-
-/// Per-query [`search`] over a batch (the old `search_batch`, sequential).
-pub fn search_batch(index: &VectorIndex, queries: &[String], k: usize) -> Vec<Vec<SearchHit>> {
-    queries.iter().map(|q| search(index, q, k)).collect()
 }

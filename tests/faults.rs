@@ -4,9 +4,9 @@
 //! latency, injected timeouts/rate-limits/truncations forcing retries)
 //! but never *what* it says: content draws are keyed by (model, prompt,
 //! salt) only, and usage commits exactly once per delivered completion.
-//! So a faulted service — at any worker count or intra-job pool width,
-//! hedged or not — must produce diagnoses byte-identical to a fault-free
-//! run, with identical per-job accounting.
+//! So a faulted service — at any worker count, hedged or not — must
+//! produce diagnoses byte-identical to a fault-free run, with identical
+//! per-job accounting.
 
 use ioagent_core::IoAgent;
 use ioagentd::{
@@ -75,7 +75,7 @@ fn faulted_service_is_byte_identical_to_fault_free_at_any_width() {
     let reference = clean.run_batch(jobs.clone()).unwrap();
     let index = clean.retriever();
 
-    // Faulted, narrow: one worker, intra-job pool width 1.
+    // Faulted, narrow: one worker.
     let narrow = DiagnosisService::with_shared_index(
         ServiceConfig::with_workers(1)
             .cache_capacity(0)
@@ -83,11 +83,10 @@ fn faulted_service_is_byte_identical_to_fault_free_at_any_width() {
             .resilience(chaos_policy()),
         index.clone(),
     );
-    // Faulted, wide: four workers, intra-job pool width 4 — the same
-    // jobs race through different threads and retry schedules.
+    // Faulted, wide: four workers — the same jobs race through different
+    // threads and retry schedules.
     let wide = DiagnosisService::with_shared_index(
         ServiceConfig::with_workers(4)
-            .intra_threads(4)
             .cache_capacity(0)
             .fault_plan(chaos_plan())
             .resilience(chaos_policy()),
@@ -206,8 +205,7 @@ fn fan_out_waves_under_faults_and_hedging_match_the_fault_free_run() {
     let jobs = workload(&suite);
     let clean = DiagnosisService::start(ServiceConfig::with_workers(1).cache_capacity(0));
     let reference = clean.run_batch(jobs.clone()).unwrap();
-    // One worker at intra-job width 1: all of a job's overlap comes from
-    // its waves. The generous deadline shares one clock across each
+    // One worker: all of a job's overlap comes from its waves. The generous deadline shares one clock across each
     // job's calls without ever firing.
     let fanned = DiagnosisService::with_shared_index(
         ServiceConfig::with_workers(1)
@@ -233,10 +231,6 @@ fn fan_out_waves_under_faults_and_hedging_match_the_fault_free_run() {
 
     // The same jobs straight through the agent: the backbone's calls
     // went out in a handful of waves, not one at a time.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
     for job in &jobs {
         let plain = SimLlm::new(&job.model);
         let faulted = ResilientLlm::new(
@@ -248,7 +242,7 @@ fn fan_out_waves_under_faults_and_hedging_match_the_fault_free_run() {
         let run = |model: &dyn LanguageModel| {
             let agent =
                 IoAgent::with_shared_retriever(model, job.config.clone(), clean.retriever());
-            let text = pool.install(|| agent.diagnose(&job.trace)).text;
+            let text = agent.diagnose(&job.trace).text;
             (text, agent.llm_waves())
         };
         let (expected, plain_waves) = run(&plain);

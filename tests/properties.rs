@@ -5,7 +5,6 @@ use darshan::{DarshanTrace, JobHeader, Record};
 use ioembed::{cosine, Embedder};
 use proptest::collection;
 use proptest::prelude::*;
-use rayon::prelude::*;
 use vecindex::chunk_text;
 
 proptest! {
@@ -109,43 +108,6 @@ proptest! {
         prop_assert!(c.cost_usd >= 0.0);
     }
 
-    /// Ordered parallel `collect` over the rayon shim preserves input
-    /// order and length for arbitrary vectors at any pool width, both for
-    /// borrowing (`par_iter`) and consuming (`into_par_iter`) iteration.
-    #[test]
-    fn par_collect_preserves_order_and_length(
-        xs in collection::vec(0u64..u64::MAX, 0..300),
-        width in 1usize..6,
-    ) {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-        let expected: Vec<u64> = xs.iter().map(|x| x.wrapping_mul(31).rotate_left(7)).collect();
-        let borrowed: Vec<u64> = pool.install(|| {
-            xs.par_iter().map(|x| x.wrapping_mul(31).rotate_left(7)).collect()
-        });
-        prop_assert_eq!(&borrowed, &expected);
-        let owned: Vec<u64> = pool.install(|| {
-            xs.clone().into_par_iter().map(|x| x.wrapping_mul(31).rotate_left(7)).collect()
-        });
-        prop_assert_eq!(&owned, &expected);
-        let indexed: Vec<(usize, u64)> = pool.install(|| {
-            xs.par_iter().enumerate().map(|(i, &x)| (i, x)).collect()
-        });
-        prop_assert!(indexed.iter().enumerate().all(|(i, &(j, x))| i == j && x == xs[i]));
-    }
-
-    /// Parallel range collection matches the sequential range exactly.
-    #[test]
-    fn par_range_collect_matches_sequential(
-        start in 0u64..100_000,
-        len in 0u64..2_000,
-        width in 1usize..6,
-    ) {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-        let par: Vec<u64> = pool.install(|| (start..start + len).into_par_iter().collect());
-        let seq: Vec<u64> = (start..start + len).collect();
-        prop_assert_eq!(par, seq);
-    }
-
     /// Darshan module aggregation never produces negative fractions.
     #[test]
     fn aggregate_fractions_bounded(
@@ -165,36 +127,6 @@ proptest! {
             }
         }
     }
-}
-
-/// A panicking closure inside a parallel `map` propagates to the caller
-/// (matching rayon semantics) and releases the pool's worker budget, so
-/// the pool neither deadlocks nor degrades to sequential afterwards.
-#[test]
-fn par_panicking_closure_propagates_without_deadlocking_the_pool() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pool.install(|| {
-            (0..128u64)
-                .into_par_iter()
-                .map(|i| {
-                    if i == 77 {
-                        panic!("injected failure")
-                    } else {
-                        i
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-    }));
-    assert!(caught.is_err(), "the panic must reach the caller");
-    // The same pool must still execute (and still in order): a leaked
-    // worker token or a wedged chunk queue would hang or corrupt this.
-    let after: Vec<u64> = pool.install(|| (0..128u64).into_par_iter().map(|i| i + 1).collect());
-    assert_eq!(after, (1..=128).collect::<Vec<u64>>());
 }
 
 proptest! {
