@@ -15,7 +15,7 @@
 //! - messages are fixed strings with the trigger's numbers interpolated,
 //!   never application-specific reasoning.
 
-use darshan::counters::Module;
+use darshan::counters::{Counter, Module};
 use darshan::derive::{lustre_summary, TraceSummary};
 use darshan::DarshanTrace;
 use simllm::Diagnosis;
@@ -191,8 +191,8 @@ impl Drishti {
         let reuse = trace
             .records_for(Module::Posix)
             .filter_map(|r| {
-                let bytes = r.ic("POSIX_BYTES_READ") as f64;
-                let range = (r.ic("POSIX_MAX_BYTE_READ") + 1) as f64;
+                let bytes = r.int(Counter::POSIX_BYTES_READ) as f64;
+                let range = r.int(Counter::POSIX_MAX_BYTE_READ).saturating_add(1) as f64;
                 (bytes > 0.0 && range > 0.0).then_some(bytes / range)
             })
             .fold(0.0f64, f64::max);
@@ -453,8 +453,11 @@ fn per_rank_cv(trace: &DarshanTrace) -> f64 {
     let mut by_rank: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
     for r in trace.records_for(Module::Posix) {
         if r.rank >= 0 {
-            *by_rank.entry(r.rank).or_insert(0) +=
-                r.ic("POSIX_BYTES_READ") + r.ic("POSIX_BYTES_WRITTEN");
+            // Saturating: a crafted trace must not overflow the sums.
+            let total = by_rank.entry(r.rank).or_insert(0);
+            *total = total
+                .saturating_add(r.int(Counter::POSIX_BYTES_READ))
+                .saturating_add(r.int(Counter::POSIX_BYTES_WRITTEN));
         }
     }
     if by_rank.len() < 2 {

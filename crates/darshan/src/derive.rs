@@ -8,11 +8,12 @@
 //! *interpretation* different (which is the point of the paper) while the
 //! *arithmetic* stays consistent and tested once.
 
-use crate::counters::{Module, SIZE_BINS};
+use crate::counters::{Counter, Module, SIZE_BINS};
 use crate::record::Record;
 use crate::trace::DarshanTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Aggregate view over all records of one module in a trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -191,142 +192,215 @@ fn fraction(num: i64, den: i64) -> f64 {
     }
 }
 
+/// `part / (part + rest)`, with the sum saturating; 0 when it is not
+/// positive.
+fn share(part: i64, rest: i64) -> f64 {
+    let total = part.saturating_add(rest);
+    if total <= 0 {
+        return 0.0;
+    }
+    part as f64 / total as f64
+}
+
 /// Aggregate a module's records.
 pub fn aggregate(trace: &DarshanTrace, module: Module) -> Option<ModuleAgg> {
     let records: Vec<&Record> = trace.records_for(module).collect();
     if records.is_empty() {
         return None;
     }
-    let p = module.prefix();
+    let mut files: Vec<&str> = records.iter().map(|r| r.file.as_str()).collect();
+    files.sort_unstable();
+    files.dedup();
     let mut agg = ModuleAgg {
-        files: trace.files_for(module).len(),
+        files: files.len(),
         shared_files: records.iter().filter(|r| r.is_shared()).count(),
         ..ModuleAgg::default()
     };
+    let k = Keys::of(module);
     for r in &records {
+        let int = |c: Counter| r.int(c);
         match module {
             Module::Posix => {
-                add(&mut agg.opens, &[r.ic("POSIX_OPENS")]);
-                add(&mut agg.reads, &[r.ic("POSIX_READS")]);
-                add(&mut agg.writes, &[r.ic("POSIX_WRITES")]);
-                add(&mut agg.seeks, &[r.ic("POSIX_SEEKS")]);
-                add(&mut agg.stats, &[r.ic("POSIX_STATS")]);
+                add(&mut agg.opens, &[int(Counter::POSIX_OPENS)]);
+                add(&mut agg.reads, &[int(Counter::POSIX_READS)]);
+                add(&mut agg.writes, &[int(Counter::POSIX_WRITES)]);
+                add(&mut agg.seeks, &[int(Counter::POSIX_SEEKS)]);
+                add(&mut agg.stats, &[int(Counter::POSIX_STATS)]);
                 add(
                     &mut agg.syncs,
-                    &[r.ic("POSIX_FSYNCS"), r.ic("POSIX_FDSYNCS")],
+                    &[int(Counter::POSIX_FSYNCS), int(Counter::POSIX_FDSYNCS)],
                 );
             }
             Module::Mpiio => {
-                add(&mut agg.indep_opens, &[r.ic("MPIIO_INDEP_OPENS")]);
-                add(&mut agg.coll_opens, &[r.ic("MPIIO_COLL_OPENS")]);
-                add(&mut agg.indep_reads, &[r.ic("MPIIO_INDEP_READS")]);
-                add(&mut agg.indep_writes, &[r.ic("MPIIO_INDEP_WRITES")]);
-                add(&mut agg.coll_reads, &[r.ic("MPIIO_COLL_READS")]);
-                add(&mut agg.coll_writes, &[r.ic("MPIIO_COLL_WRITES")]);
+                add(&mut agg.indep_opens, &[int(Counter::MPIIO_INDEP_OPENS)]);
+                add(&mut agg.coll_opens, &[int(Counter::MPIIO_COLL_OPENS)]);
+                add(&mut agg.indep_reads, &[int(Counter::MPIIO_INDEP_READS)]);
+                add(&mut agg.indep_writes, &[int(Counter::MPIIO_INDEP_WRITES)]);
+                add(&mut agg.coll_reads, &[int(Counter::MPIIO_COLL_READS)]);
+                add(&mut agg.coll_writes, &[int(Counter::MPIIO_COLL_WRITES)]);
                 add(
                     &mut agg.opens,
-                    &[r.ic("MPIIO_INDEP_OPENS"), r.ic("MPIIO_COLL_OPENS")],
+                    &[
+                        int(Counter::MPIIO_INDEP_OPENS),
+                        int(Counter::MPIIO_COLL_OPENS),
+                    ],
                 );
                 add(
                     &mut agg.reads,
                     &[
-                        r.ic("MPIIO_INDEP_READS"),
-                        r.ic("MPIIO_COLL_READS"),
-                        r.ic("MPIIO_SPLIT_READS"),
-                        r.ic("MPIIO_NB_READS"),
+                        int(Counter::MPIIO_INDEP_READS),
+                        int(Counter::MPIIO_COLL_READS),
+                        int(Counter::MPIIO_SPLIT_READS),
+                        int(Counter::MPIIO_NB_READS),
                     ],
                 );
                 add(
                     &mut agg.writes,
                     &[
-                        r.ic("MPIIO_INDEP_WRITES"),
-                        r.ic("MPIIO_COLL_WRITES"),
-                        r.ic("MPIIO_SPLIT_WRITES"),
-                        r.ic("MPIIO_NB_WRITES"),
+                        int(Counter::MPIIO_INDEP_WRITES),
+                        int(Counter::MPIIO_COLL_WRITES),
+                        int(Counter::MPIIO_SPLIT_WRITES),
+                        int(Counter::MPIIO_NB_WRITES),
                     ],
                 );
-                add(&mut agg.syncs, &[r.ic("MPIIO_SYNCS")]);
+                add(&mut agg.syncs, &[int(Counter::MPIIO_SYNCS)]);
             }
             Module::Stdio => {
                 add(
                     &mut agg.opens,
-                    &[r.ic("STDIO_OPENS"), r.ic("STDIO_FDOPENS")],
+                    &[int(Counter::STDIO_OPENS), int(Counter::STDIO_FDOPENS)],
                 );
-                add(&mut agg.reads, &[r.ic("STDIO_READS")]);
-                add(&mut agg.writes, &[r.ic("STDIO_WRITES")]);
-                add(&mut agg.seeks, &[r.ic("STDIO_SEEKS")]);
+                add(&mut agg.reads, &[int(Counter::STDIO_READS)]);
+                add(&mut agg.writes, &[int(Counter::STDIO_WRITES)]);
+                add(&mut agg.seeks, &[int(Counter::STDIO_SEEKS)]);
             }
             Module::Lustre => {}
         }
-        add(&mut agg.bytes_read, &[r.ic(&format!("{p}_BYTES_READ"))]);
-        add(
-            &mut agg.bytes_written,
-            &[r.ic(&format!("{p}_BYTES_WRITTEN"))],
-        );
-        agg.max_byte_read = agg.max_byte_read.max(r.ic(&format!("{p}_MAX_BYTE_READ")));
-        agg.max_byte_written = agg
-            .max_byte_written
-            .max(r.ic(&format!("{p}_MAX_BYTE_WRITTEN")));
-        agg.max_read_time_size = agg
-            .max_read_time_size
-            .max(r.ic(&format!("{p}_MAX_READ_TIME_SIZE")));
-        agg.max_write_time_size = agg
-            .max_write_time_size
-            .max(r.ic(&format!("{p}_MAX_WRITE_TIME_SIZE")));
-        add(&mut agg.seq_reads, &[r.ic(&format!("{p}_SEQ_READS"))]);
-        add(&mut agg.seq_writes, &[r.ic(&format!("{p}_SEQ_WRITES"))]);
-        add(&mut agg.consec_reads, &[r.ic(&format!("{p}_CONSEC_READS"))]);
-        add(
-            &mut agg.consec_writes,
-            &[r.ic(&format!("{p}_CONSEC_WRITES"))],
-        );
-        add(&mut agg.rw_switches, &[r.ic(&format!("{p}_RW_SWITCHES"))]);
-        add(
-            &mut agg.file_not_aligned,
-            &[r.ic(&format!("{p}_FILE_NOT_ALIGNED"))],
-        );
-        add(
-            &mut agg.mem_not_aligned,
-            &[r.ic(&format!("{p}_MEM_NOT_ALIGNED"))],
-        );
-        agg.file_alignment = agg.file_alignment.max(r.ic(&format!("{p}_FILE_ALIGNMENT")));
-        agg.read_time += r.fc(&format!("{p}_F_READ_TIME"));
-        agg.write_time += r.fc(&format!("{p}_F_WRITE_TIME"));
-        agg.meta_time += r.fc(&format!("{p}_F_META_TIME"));
-        agg.variance_rank_bytes = agg
-            .variance_rank_bytes
-            .max(r.fc(&format!("{p}_F_VARIANCE_RANK_BYTES")));
-        agg.variance_rank_time = agg
-            .variance_rank_time
-            .max(r.fc(&format!("{p}_F_VARIANCE_RANK_TIME")));
-        add(
-            &mut agg.fastest_rank_bytes,
-            &[r.ic(&format!("{p}_FASTEST_RANK_BYTES"))],
-        );
-        add(
-            &mut agg.slowest_rank_bytes,
-            &[r.ic(&format!("{p}_SLOWEST_RANK_BYTES"))],
-        );
-        let hist_read_prefix = match module {
-            Module::Mpiio => "MPIIO_SIZE_READ_AGG_".to_string(),
-            _ => format!("{p}_SIZE_READ_"),
-        };
-        let hist_write_prefix = match module {
-            Module::Mpiio => "MPIIO_SIZE_WRITE_AGG_".to_string(),
-            _ => format!("{p}_SIZE_WRITE_"),
-        };
-        for (i, bin) in SIZE_BINS.iter().enumerate() {
-            add(
-                &mut agg.read_hist[i],
-                &[r.ic(&format!("{hist_read_prefix}{bin}"))],
-            );
-            add(
-                &mut agg.write_hist[i],
-                &[r.ic(&format!("{hist_write_prefix}{bin}"))],
-            );
+        add(&mut agg.bytes_read, &[k.bytes_read.int(r)]);
+        add(&mut agg.bytes_written, &[k.bytes_written.int(r)]);
+        agg.max_byte_read = agg.max_byte_read.max(k.max_byte_read.int(r));
+        agg.max_byte_written = agg.max_byte_written.max(k.max_byte_written.int(r));
+        agg.max_read_time_size = agg.max_read_time_size.max(k.max_read_time_size.int(r));
+        agg.max_write_time_size = agg.max_write_time_size.max(k.max_write_time_size.int(r));
+        add(&mut agg.seq_reads, &[k.seq_reads.int(r)]);
+        add(&mut agg.seq_writes, &[k.seq_writes.int(r)]);
+        add(&mut agg.consec_reads, &[k.consec_reads.int(r)]);
+        add(&mut agg.consec_writes, &[k.consec_writes.int(r)]);
+        add(&mut agg.rw_switches, &[k.rw_switches.int(r)]);
+        add(&mut agg.file_not_aligned, &[k.file_not_aligned.int(r)]);
+        add(&mut agg.mem_not_aligned, &[k.mem_not_aligned.int(r)]);
+        agg.file_alignment = agg.file_alignment.max(k.file_alignment.int(r));
+        agg.read_time += k.read_time.float(r);
+        agg.write_time += k.write_time.float(r);
+        agg.meta_time += k.meta_time.float(r);
+        agg.variance_rank_bytes = agg.variance_rank_bytes.max(k.variance_rank_bytes.float(r));
+        agg.variance_rank_time = agg.variance_rank_time.max(k.variance_rank_time.float(r));
+        add(&mut agg.fastest_rank_bytes, &[k.fastest_rank_bytes.int(r)]);
+        add(&mut agg.slowest_rank_bytes, &[k.slowest_rank_bytes.int(r)]);
+        for (i, (read, write)) in k.read_hist.iter().zip(&k.write_hist).enumerate() {
+            add(&mut agg.read_hist[i], &[read.int(r)]);
+            add(&mut agg.write_hist[i], &[write.int(r)]);
         }
     }
     Some(agg)
+}
+
+/// A counter [`aggregate`] reads under every module's prefix
+/// (`{prefix}_BYTES_READ`, ...). Most are table counters, read by index;
+/// the rest (`STDIO_SEQ_READS` is in no table) can only come from a
+/// record's side list.
+enum Key {
+    Table(Counter),
+    Other(String),
+}
+
+impl Key {
+    fn new(module: Module, suffix: &str) -> Key {
+        let name = format!("{}_{suffix}", module.prefix());
+        Counter::from_name(&name).map_or(Key::Other(name), Key::Table)
+    }
+
+    fn int(&self, r: &Record) -> i64 {
+        match self {
+            Key::Table(c) => r.int(*c),
+            Key::Other(name) => r.ic(name),
+        }
+    }
+
+    fn float(&self, r: &Record) -> f64 {
+        match self {
+            Key::Table(c) => r.float(*c),
+            Key::Other(name) => r.fc(name),
+        }
+    }
+}
+
+/// The [`Key`]s of one module, resolved once per process.
+struct Keys {
+    bytes_read: Key,
+    bytes_written: Key,
+    max_byte_read: Key,
+    max_byte_written: Key,
+    max_read_time_size: Key,
+    max_write_time_size: Key,
+    seq_reads: Key,
+    seq_writes: Key,
+    consec_reads: Key,
+    consec_writes: Key,
+    rw_switches: Key,
+    file_not_aligned: Key,
+    mem_not_aligned: Key,
+    file_alignment: Key,
+    read_time: Key,
+    write_time: Key,
+    meta_time: Key,
+    variance_rank_bytes: Key,
+    variance_rank_time: Key,
+    fastest_rank_bytes: Key,
+    slowest_rank_bytes: Key,
+    read_hist: [Key; 10],
+    write_hist: [Key; 10],
+}
+
+impl Keys {
+    fn of(module: Module) -> &'static Keys {
+        static KEYS: OnceLock<[Keys; 4]> = OnceLock::new();
+        &KEYS.get_or_init(|| Module::ALL.map(Keys::resolve))[module as usize]
+    }
+
+    fn resolve(module: Module) -> Keys {
+        let key = |suffix: &str| Key::new(module, suffix);
+        // MPI-IO's histograms count aggregate (collective) sizes.
+        let (read_hist, write_hist) = match module {
+            Module::Mpiio => ("SIZE_READ_AGG_", "SIZE_WRITE_AGG_"),
+            _ => ("SIZE_READ_", "SIZE_WRITE_"),
+        };
+        Keys {
+            bytes_read: key("BYTES_READ"),
+            bytes_written: key("BYTES_WRITTEN"),
+            max_byte_read: key("MAX_BYTE_READ"),
+            max_byte_written: key("MAX_BYTE_WRITTEN"),
+            max_read_time_size: key("MAX_READ_TIME_SIZE"),
+            max_write_time_size: key("MAX_WRITE_TIME_SIZE"),
+            seq_reads: key("SEQ_READS"),
+            seq_writes: key("SEQ_WRITES"),
+            consec_reads: key("CONSEC_READS"),
+            consec_writes: key("CONSEC_WRITES"),
+            rw_switches: key("RW_SWITCHES"),
+            file_not_aligned: key("FILE_NOT_ALIGNED"),
+            mem_not_aligned: key("MEM_NOT_ALIGNED"),
+            file_alignment: key("FILE_ALIGNMENT"),
+            read_time: key("F_READ_TIME"),
+            write_time: key("F_WRITE_TIME"),
+            meta_time: key("F_META_TIME"),
+            variance_rank_bytes: key("F_VARIANCE_RANK_BYTES"),
+            variance_rank_time: key("F_VARIANCE_RANK_TIME"),
+            fastest_rank_bytes: key("FASTEST_RANK_BYTES"),
+            slowest_rank_bytes: key("SLOWEST_RANK_BYTES"),
+            read_hist: SIZE_BINS.map(|bin| key(&format!("{read_hist}{bin}"))),
+            write_hist: SIZE_BINS.map(|bin| key(&format!("{write_hist}{bin}"))),
+        }
+    }
 }
 
 /// `acc += counters`, saturating at the `i64` bounds: counters summed over
@@ -403,13 +477,13 @@ pub fn lustre_summary(trace: &DarshanTrace) -> Option<LustreSummary> {
         ..LustreSummary::default()
     };
     for r in &records {
-        s.total_osts = s.total_osts.max(r.ic("LUSTRE_OSTS"));
-        s.total_mdts = s.total_mdts.max(r.ic("LUSTRE_MDTS"));
-        s.stripe_widths.push(r.ic("LUSTRE_STRIPE_WIDTH"));
-        s.stripe_sizes.push(r.ic("LUSTRE_STRIPE_SIZE"));
-        for (name, value) in &r.icounters {
+        s.total_osts = s.total_osts.max(r.int(Counter::LUSTRE_OSTS));
+        s.total_mdts = s.total_mdts.max(r.int(Counter::LUSTRE_MDTS));
+        s.stripe_widths.push(r.int(Counter::LUSTRE_STRIPE_WIDTH));
+        s.stripe_sizes.push(r.int(Counter::LUSTRE_STRIPE_SIZE));
+        for (name, value) in r.int_counters() {
             if name.starts_with("LUSTRE_OST_ID_") {
-                *s.ost_usage.entry(*value).or_insert(0) += 1;
+                *s.ost_usage.entry(value).or_insert(0) += 1;
             }
         }
     }
@@ -466,20 +540,14 @@ impl TraceSummary {
     pub fn stdio_read_fraction(&self) -> f64 {
         let p = self.posix.as_ref().map(|a| a.bytes_read).unwrap_or(0);
         let s = self.stdio.as_ref().map(|a| a.bytes_read).unwrap_or(0);
-        if p + s <= 0 {
-            return 0.0;
-        }
-        s as f64 / (p + s) as f64
+        share(s, p)
     }
 
     /// Fraction of STDIO write bytes out of all write bytes.
     pub fn stdio_write_fraction(&self) -> f64 {
         let p = self.posix.as_ref().map(|a| a.bytes_written).unwrap_or(0);
         let s = self.stdio.as_ref().map(|a| a.bytes_written).unwrap_or(0);
-        if p + s <= 0 {
-            return 0.0;
-        }
-        s as f64 / (p + s) as f64
+        share(s, p)
     }
 
     /// Whether the job performs multi-process I/O without any MPI-IO usage.

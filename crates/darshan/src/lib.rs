@@ -23,7 +23,8 @@
 //!
 //! The crate provides:
 //! - [`DarshanTrace`]: the full log (header + per-file records),
-//! - [`Record`]: one (module, rank, file) counter set,
+//! - [`Record`]: one (module, rank, file) counter set, stored by
+//!   [`Counter`] index in per-module arrays,
 //! - [`parse::parse_text`] / [`write::write_text`]: a faithful round-trip of
 //!   the `darshan-parser` text format,
 //! - [`mod@derive`]: derived per-module aggregates (histograms, alignment
@@ -39,7 +40,7 @@ pub mod record;
 pub mod trace;
 pub mod write;
 
-pub use counters::{Module, SIZE_BINS};
+pub use counters::{Counter, Module, SIZE_BINS};
 pub use derive::{LustreSummary, ModuleAgg, TraceSummary};
 pub use dxt::{DxtEvent, DxtOp, DxtTrace};
 pub use error::DarshanError;

@@ -8,24 +8,32 @@
 //! ```
 //!
 //! Rows belonging to the same `(module, rank, record id)` triple are folded
-//! into a single [`Record`]. Unknown counters are preserved verbatim so the
-//! parser is forward-compatible with newer Darshan versions.
+//! into a single [`Record`]. Each row is split once; its counter name is
+//! looked up in the module tables and a table counter is stored by index,
+//! so a row allocates nothing. A name outside the record's module tables
+//! (`LUSTRE_OST_ID_*`, a counter of another module, a name a newer Darshan
+//! adds) is kept verbatim in the record's side list, so the parser stays
+//! forward-compatible. A repeated row overwrites the earlier value.
 
-use crate::counters::{is_float_counter, Module};
+use crate::counters::{is_float_counter, Counter, Module};
 use crate::error::DarshanError;
 use crate::record::Record;
 use crate::trace::{DarshanTrace, JobHeader, Mount};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-/// Parse `darshan-parser` text output into a [`DarshanTrace`].
+/// Parse `darshan-parser` text into a [`DarshanTrace`].
 pub fn parse_text(input: &str) -> Result<DarshanTrace, DarshanError> {
     let mut header = JobHeader {
         mounts: Vec::new(),
         ..JobHeader::default()
     };
     let mut seen_nprocs = false;
-    // Keyed by (module, rank, record_id) to fold counter rows into records.
-    let mut records: BTreeMap<(Module, i64, u64), Record> = BTreeMap::new();
+    // Records in first-seen order, found by (module, rank, record_id);
+    // rows of one record usually come together, so the last one is tried
+    // before the index.
+    let mut records: Vec<Record> = Vec::new();
+    let mut index: HashMap<(Module, i64, u64), usize> = HashMap::new();
+    let mut last: Option<((Module, i64, u64), usize)> = None;
 
     for (idx, raw) in input.lines().enumerate() {
         let lineno = idx + 1;
@@ -37,12 +45,18 @@ pub fn parse_text(input: &str) -> Result<DarshanTrace, DarshanError> {
             parse_header_line(rest.trim(), &mut header, &mut seen_nprocs);
             continue;
         }
-        let cols: Vec<&str> = if line.contains('\t') {
-            line.split('\t').collect()
-        } else {
-            line.split_whitespace().collect()
-        };
-        if cols.len() < 5 {
+        // Tab-separated: the first five columns, then the rest unsplit (a
+        // record's file, mount and fs are read only by its first row). A
+        // row without any tab falls back to whitespace.
+        let mut cols = [""; 6];
+        let mut n = fill(&mut cols, line.splitn(6, '\t'));
+        let mut spaced = None;
+        if n == 1 {
+            let mut fields = line.split_whitespace();
+            n = fill(&mut cols[..5], &mut fields);
+            spaced = Some(fields);
+        }
+        if n < 5 {
             return Err(DarshanError::MalformedRow {
                 line: lineno,
                 content: line.to_string(),
@@ -64,27 +78,46 @@ pub fn parse_text(input: &str) -> Result<DarshanTrace, DarshanError> {
         })?;
         let counter = cols[3];
         let value = cols[4];
-        let file = cols.get(5).copied().unwrap_or("<unknown>");
-        let mount = cols.get(6).copied().unwrap_or("/");
-        let fs = cols.get(7).copied().unwrap_or("unknown");
 
-        let rec = records
-            .entry((module, rank, record_id))
-            .or_insert_with(|| Record::new(module, rank, record_id, file).with_mount(mount, fs));
-        if is_float_counter(counter) {
+        let key = (module, rank, record_id);
+        let at = match last {
+            Some((k, at)) if k == key => at,
+            _ => *index.entry(key).or_insert_with(|| {
+                let mut location = ["<unknown>", "/", "unknown"];
+                match spaced {
+                    Some(fields) => fill(&mut location, fields),
+                    None if n == 6 => fill(&mut location, cols[5].split('\t')),
+                    None => 0,
+                };
+                let [file, mount, fs] = location;
+                records.push(Record::located(
+                    module,
+                    rank,
+                    record_id,
+                    file.to_string(),
+                    mount,
+                    fs,
+                ));
+                records.len() - 1
+            }),
+        };
+        last = Some((key, at));
+        let rec = &mut records[at];
+        let known = Counter::from_name(counter);
+        if known.map_or_else(|| is_float_counter(counter), Counter::is_float) {
             let v: f64 = value.parse().map_err(|_| DarshanError::BadNumber {
                 line: lineno,
                 field: "float counter value",
                 value: value.into(),
             })?;
-            rec.set_fc(counter, v);
+            rec.set_fc_resolved(counter, known, v);
         } else {
             let v: i64 = value.parse().map_err(|_| DarshanError::BadNumber {
                 line: lineno,
                 field: "int counter value",
                 value: value.into(),
             })?;
-            rec.set_ic(counter, v);
+            rec.set_ic_resolved(counter, known, v);
         }
     }
 
@@ -93,10 +126,19 @@ pub fn parse_text(input: &str) -> Result<DarshanTrace, DarshanError> {
         return Err(DarshanError::MissingHeader("nprocs"));
     }
 
-    Ok(DarshanTrace {
-        header,
-        records: records.into_values().collect(),
-    })
+    // Keys are unique, so the order is total: (module, rank, record id).
+    records.sort_unstable_by_key(|r| (r.module, r.rank, r.record_id));
+    Ok(DarshanTrace { header, records })
+}
+
+/// Fill `slots` from `fields` in order; how many were filled.
+fn fill<'a>(slots: &mut [&'a str], fields: impl Iterator<Item = &'a str>) -> usize {
+    let mut n = 0;
+    for (slot, field) in slots.iter_mut().zip(fields) {
+        *slot = field;
+        n += 1;
+    }
+    n
 }
 
 fn parse_header_line(line: &str, header: &mut JobHeader, seen_nprocs: &mut bool) {

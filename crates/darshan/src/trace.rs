@@ -1,6 +1,6 @@
 //! The full trace: job header plus all per-file records.
 
-use crate::counters::Module;
+use crate::counters::{Counter, Module};
 use crate::record::Record;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -130,16 +130,27 @@ impl DarshanTrace {
     /// MPI-IO volumes are *not* added on top because MPI-IO operations are
     /// ultimately serviced by POSIX in Darshan's layering; adding both would
     /// double-count.
+    ///
+    /// The sums saturate at the `i64` bounds, so a crafted trace cannot
+    /// wrap the total (or panic, in a build with overflow checks).
     pub fn total_bytes(&self) -> u64 {
-        let posix: i64 = self
-            .records_for(Module::Posix)
-            .map(|r| r.ic("POSIX_BYTES_READ") + r.ic("POSIX_BYTES_WRITTEN"))
-            .sum();
-        let stdio: i64 = self
-            .records_for(Module::Stdio)
-            .map(|r| r.ic("STDIO_BYTES_READ") + r.ic("STDIO_BYTES_WRITTEN"))
-            .sum();
-        (posix + stdio).max(0) as u64
+        let volume = |module, read, written| {
+            self.records_for(module).fold(0i64, |acc, r| {
+                acc.saturating_add(r.int(read))
+                    .saturating_add(r.int(written))
+            })
+        };
+        let posix = volume(
+            Module::Posix,
+            Counter::POSIX_BYTES_READ,
+            Counter::POSIX_BYTES_WRITTEN,
+        );
+        let stdio = volume(
+            Module::Stdio,
+            Counter::STDIO_BYTES_READ,
+            Counter::STDIO_BYTES_WRITTEN,
+        );
+        posix.saturating_add(stdio).max(0) as u64
     }
 
     /// Number of shared-file records (rank -1) for a module.
@@ -192,6 +203,18 @@ mod tests {
     fn total_bytes_excludes_mpiio_double_count() {
         let t = trace_with_modules();
         assert_eq!(t.total_bytes(), 1510);
+    }
+
+    #[test]
+    fn total_bytes_saturates() {
+        let mut t = DarshanTrace::new(JobHeader::new("./app", 2, 1.0));
+        for rank in 0..2 {
+            let mut p = Record::new(Module::Posix, rank, 1, "/scratch/huge");
+            p.set_ic("POSIX_BYTES_READ", i64::MAX);
+            p.set_ic("POSIX_BYTES_WRITTEN", i64::MAX);
+            t.push(p);
+        }
+        assert_eq!(t.total_bytes(), i64::MAX as u64);
     }
 
     #[test]

@@ -4,43 +4,51 @@
 //! rank) and counters are emitted in lexicographic order (integer counters
 //! first, then floats), so a trace written twice produces identical text and
 //! `parse(write(t))` is a lossless round-trip of counters and header fields.
+//!
+//! [`write_to`] streams the text into any [`fmt::Write`] sink, so a caller
+//! that only hashes the canonical bytes (the service's cache key) never
+//! builds the whole string; [`write_text`] is its `String` form.
 
 use crate::counters::Module;
 use crate::record::Record;
 use crate::trace::DarshanTrace;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Serialize a trace into `darshan-parser` compatible text.
 pub fn write_text(trace: &DarshanTrace) -> String {
     let mut out = String::with_capacity(4096 + trace.records.len() * 256);
+    write_to(trace, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
+/// Stream the text [`write_text`] returns into `out`, piece by piece.
+pub fn write_to<W: fmt::Write>(trace: &DarshanTrace, out: &mut W) -> fmt::Result {
     let h = &trace.header;
-    writeln!(out, "# darshan log version: {}", h.version).unwrap();
-    writeln!(out, "# exe: {}", h.exe).unwrap();
-    writeln!(out, "# uid: {}", h.uid).unwrap();
-    writeln!(out, "# jobid: {}", h.jobid).unwrap();
-    writeln!(out, "# nprocs: {}", h.nprocs).unwrap();
-    writeln!(out, "# start_time: {}", h.start_time).unwrap();
-    writeln!(out, "# end_time: {}", h.end_time).unwrap();
-    writeln!(out, "# run time: {:.2}", h.run_time).unwrap();
+    writeln!(out, "# darshan log version: {}", h.version)?;
+    writeln!(out, "# exe: {}", h.exe)?;
+    writeln!(out, "# uid: {}", h.uid)?;
+    writeln!(out, "# jobid: {}", h.jobid)?;
+    writeln!(out, "# nprocs: {}", h.nprocs)?;
+    writeln!(out, "# start_time: {}", h.start_time)?;
+    writeln!(out, "# end_time: {}", h.end_time)?;
+    writeln!(out, "# run time: {:.2}", h.run_time)?;
     for (k, v) in &h.metadata {
-        writeln!(out, "# {k}: {v}").unwrap();
+        writeln!(out, "# {k}: {v}")?;
     }
-    writeln!(out, "#").unwrap();
-    writeln!(out, "# mounted file systems (mount point and fs type)").unwrap();
+    writeln!(out, "#")?;
+    writeln!(out, "# mounted file systems (mount point and fs type)")?;
     writeln!(
         out,
         "# -------------------------------------------------------"
-    )
-    .unwrap();
+    )?;
     for m in &h.mounts {
-        writeln!(out, "# mount entry:\t{}\t{}", m.point, m.fs).unwrap();
+        writeln!(out, "# mount entry:\t{}\t{}", m.point, m.fs)?;
     }
-    writeln!(out, "#").unwrap();
+    writeln!(out, "#")?;
     writeln!(
         out,
         "#<module>\t<rank>\t<record id>\t<counter>\t<value>\t<file name>\t<mount pt>\t<fs type>"
-    )
-    .unwrap();
+    )?;
 
     let mut sorted: Vec<&Record> = trace.records.iter().collect();
     sorted.sort_by(|a, b| {
@@ -52,24 +60,22 @@ pub fn write_text(trace: &DarshanTrace) -> String {
     });
     for rec in sorted {
         let m = rec.module.as_str();
-        for (name, value) in &rec.icounters {
+        for (name, value) in rec.int_counters() {
             writeln!(
                 out,
                 "{m}\t{}\t{}\t{name}\t{value}\t{}\t{}\t{}",
                 rec.rank, rec.record_id, rec.file, rec.mount, rec.fs
-            )
-            .unwrap();
+            )?;
         }
-        for (name, value) in &rec.fcounters {
+        for (name, value) in rec.float_counters() {
             writeln!(
                 out,
                 "{m}\t{}\t{}\t{name}\t{value:.6}\t{}\t{}\t{}",
                 rec.rank, rec.record_id, rec.file, rec.mount, rec.fs
-            )
-            .unwrap();
+            )?;
         }
     }
-    out
+    Ok(())
 }
 
 fn module_order(m: Module) -> usize {

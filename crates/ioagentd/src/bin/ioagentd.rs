@@ -86,52 +86,62 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> ! {
-    eprintln!(
-        "ioagentd — concurrent batch I/O-diagnosis service\n\n\
-         USAGE: ioagentd [OPTIONS]\n\
-         \x20      ioagentd trace-report PATH [--slowest N]\n\
-         \x20      ioagentd top ADDR [--interval-ms N] [--once]\n\
-         \x20      ioagentd slo-check ADDR [--slo FILE]\n\n\
-         OPTIONS:\n\
-           --workers N        worker threads, one job each (default: available parallelism)\n\
-           --queue N          job queue bound (default: 2 x workers)\n\
-           --cache N          result cache entries, 0 disables (default: 256)\n\
-           --state-dir DIR    persist results + index snapshot in DIR\n\
-           --listen ADDR      serve over TCP (host:port) instead of stdio\n\
-           --trace-dir DIR    write span traces (NDJSON) into DIR\n\
-           --trace-detail D   span granularity: stage (default) | fine\n\
-           --trace-sample S   tail sampling: tail:<dur>ms | tail:pN\n\
-                              (keep fine spans of slow/errored jobs only)\n\
-           --slo FILE         SLO declarations for {{\"slo\": true}} probes\n\
-           --deadline-ms N    per-job deadline from submit; expired jobs\n\
-                              are shed (queued) or cancelled (executing)\n\
-           --max-retries N    LLM retries before retries_exhausted (def: 2)\n\
-           --retry-backoff-ms N  retry backoff base, cap = 25x (def: 2)\n\
-           --hedge-ms N       duplicate slow LLM attempts after\n\
-                              max(N ms, p95 attempt latency); first wins\n\
-           --llm-faults SPEC  inject heavy-tailed latency + faults into\n\
-                              the LLM layer (k=v, comma-separated)\n\
-           -h, --help         print this help\n\n\
-         SUBCOMMANDS:\n\
-           trace-report PATH  fold a span NDJSON file (or a --trace-dir\n\
-                              directory of spans-*.ndjson files) into a\n\
-                              per-stage latency table; --slowest N adds\n\
-                              the N slowest jobs' critical paths\n\
-           top ADDR           live dashboard over a daemon's metrics probe\n\
-                              (--interval-ms 1000, --once for one frame)\n\
-           slo-check ADDR     evaluate SLOs against a running daemon and\n\
-                              exit 0 (pass) / 1 (violation) / 2 (error);\n\
-                              --slo FILE checks client-side declarations,\n\
-                              otherwise the daemon's own --slo file\n\n\
-         PROTOCOL (one JSON document per line):\n\
-           request:  {{\"id\": \"j1\", \"trace\": \"<darshan-parser text>\",\n\
-                      \"model\": \"gpt-4o\", \"top_k\": 15, \"use_rag\": true,\n\
-                      \"merge\": \"tree\", \"trace_id\": \"req-7\"}}\n\
-           response: {{\"id\": \"j1\", \"issues\": [...], \"text\": \"...\",\n\
-                      \"cached\": false, \"llm_calls\": 93, \"cost_usd\": 0.21,\n\
-                      \"trace_id\": \"req-7\"}}"
-    );
+    eprint!("{}", usage_text());
     std::process::exit(2);
+}
+
+/// The `--help` text. A plain multi-line literal: a `\n\` continuation
+/// would strip each next line's leading spaces, and with them the indent
+/// of every option.
+fn usage_text() -> &'static str {
+    r#"ioagentd — concurrent batch I/O-diagnosis service
+
+USAGE: ioagentd [OPTIONS]
+       ioagentd trace-report PATH [--slowest N]
+       ioagentd top ADDR [--interval-ms N] [--once]
+       ioagentd slo-check ADDR [--slo FILE]
+
+OPTIONS:
+  --workers N        worker threads, one job each (default: available parallelism)
+  --queue N          job queue bound (default: 2 x workers)
+  --cache N          result cache entries, 0 disables (default: 256)
+  --state-dir DIR    persist results + index snapshot in DIR
+  --listen ADDR      serve over TCP (host:port) instead of stdio
+  --trace-dir DIR    write span traces (NDJSON) into DIR
+  --trace-detail D   span granularity: stage (default) | fine
+  --trace-sample S   tail sampling: tail:<dur>ms | tail:pN
+                     (keep fine spans of slow/errored jobs only)
+  --slo FILE         SLO declarations for {"slo": true} probes
+  --deadline-ms N    per-job deadline from submit; expired jobs
+                     are shed (queued) or cancelled (executing)
+  --max-retries N    LLM retries before retries_exhausted (def: 2)
+  --retry-backoff-ms N  retry backoff base, cap = 25x (def: 2)
+  --hedge-ms N       duplicate slow LLM attempts after
+                     max(N ms, p95 attempt latency); first wins
+  --llm-faults SPEC  inject heavy-tailed latency + faults into
+                     the LLM layer (k=v, comma-separated)
+  -h, --help         print this help
+
+SUBCOMMANDS:
+  trace-report PATH  fold a span NDJSON file (or a --trace-dir
+                     directory of spans-*.ndjson files) into a
+                     per-stage latency table; --slowest N adds
+                     the N slowest jobs' critical paths
+  top ADDR           live dashboard over a daemon's metrics probe
+                     (--interval-ms 1000, --once for one frame)
+  slo-check ADDR     evaluate SLOs against a running daemon and
+                     exit 0 (pass) / 1 (violation) / 2 (error);
+                     --slo FILE checks client-side declarations,
+                     otherwise the daemon's own --slo file
+
+PROTOCOL (one JSON document per line):
+  request:  {"id": "j1", "trace": "<darshan-parser text>",
+             "model": "gpt-4o", "top_k": 15, "use_rag": true,
+             "merge": "tree", "trace_id": "req-7"}
+  response: {"id": "j1", "issues": [...], "text": "...",
+             "cached": false, "llm_calls": 93, "cost_usd": 0.21,
+             "trace_id": "req-7"}
+"#
 }
 
 fn parse_count(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
@@ -760,4 +770,32 @@ fn serve_stream<R: BufRead, W: Write + Send + 'static>(
     conn_span.set_attr("requests", conn_requests);
     drop(conn_span);
     ioobserve::tracer().flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::usage_text;
+
+    #[test]
+    fn help_options_keep_their_indent() {
+        let text = usage_text();
+        let (_, options_section) = text.split_once("OPTIONS:\n").unwrap();
+        let (options_section, _) = options_section.split_once("\n\n").unwrap();
+        let mut options = 0;
+        for line in options_section.lines() {
+            let body = line.trim_start();
+            let indent = line.len() - body.len();
+            if body.starts_with('-') {
+                assert_eq!(indent, 2, "option line {line:?}");
+                options += 1;
+            }
+        }
+        assert_eq!(options, 15);
+        // Wrapped descriptions sit under the first description column.
+        assert!(
+            text.contains("\n                     (keep fine spans of slow/errored jobs only)\n")
+        );
+        assert!(text.contains("\n       ioagentd top ADDR"));
+        assert!(text.contains("\n  trace-report PATH  fold"));
+    }
 }

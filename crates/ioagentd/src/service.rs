@@ -200,14 +200,16 @@ impl JobRequest {
     }
 
     /// Cache key: canonical trace bytes × model × full config. The trace
-    /// hash reuses the simulator's stable FNV-1a (`simllm::rng::stable_hash`)
-    /// rather than keeping a private copy of the same algorithm. The key
-    /// type is `iostore`'s [`ResultKey`], so the in-memory LRU and the
-    /// on-disk journal index results identically.
-    fn fingerprint(&self) -> ResultKey {
-        let canonical = darshan::write::write_text(&self.trace);
+    /// hash is the simulator's stable FNV-1a (`simllm::rng::stable_hash`)
+    /// of `darshan::write::write_text`, streamed straight into the hash
+    /// state so the canonical text is never built. The key type is
+    /// `iostore`'s [`ResultKey`], so the in-memory LRU and the on-disk
+    /// journal index results identically.
+    pub fn fingerprint(&self) -> ResultKey {
+        let mut canonical = simllm::rng::StableHasher::new();
+        darshan::write::write_to(&self.trace, &mut canonical).expect("hashing cannot fail");
         ResultKey {
-            trace_hash: simllm::rng::stable_hash(&canonical),
+            trace_hash: canonical.finish(),
             model: self.model.clone(),
             config: format!("{:?}", self.config),
         }

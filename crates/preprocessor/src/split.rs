@@ -20,8 +20,8 @@ pub fn module_csv(trace: &DarshanTrace, module: Module) -> Option<String> {
     let mut int_cols: BTreeSet<&str> = BTreeSet::new();
     let mut float_cols: BTreeSet<&str> = BTreeSet::new();
     for r in &records {
-        int_cols.extend(r.icounters.keys().map(String::as_str));
-        float_cols.extend(r.fcounters.keys().map(String::as_str));
+        int_cols.extend(r.int_counters().map(|(name, _)| name));
+        float_cols.extend(r.float_counters().map(|(name, _)| name));
     }
     let int_cols: Vec<&str> = int_cols.into_iter().collect();
     let float_cols: Vec<&str> = float_cols.into_iter().collect();
@@ -43,13 +43,13 @@ pub fn module_csv(trace: &DarshanTrace, module: Module) -> Option<String> {
     for r in sorted {
         out.push_str(&format!("{},{},{}", r.rank, r.record_id, r.file));
         for c in &int_cols {
-            match r.icounters.get(*c) {
+            match r.get_ic(c) {
                 Some(v) => out.push_str(&format!(",{v}")),
                 None => out.push(','),
             }
         }
         for c in &float_cols {
-            match r.fcounters.get(*c) {
+            match r.get_fc(c) {
                 Some(v) => out.push_str(&format!(",{v:.6}")),
                 None => out.push(','),
             }

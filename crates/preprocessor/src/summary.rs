@@ -6,7 +6,7 @@
 //! and the broader application context (runtime, process count, module
 //! presence, I/O volume) the paper attaches to every fragment.
 
-use darshan::counters::{Module, SIZE_BINS};
+use darshan::counters::{Counter, Module, SIZE_BINS};
 use darshan::derive::{LustreSummary, ModuleAgg, TraceSummary};
 use darshan::DarshanTrace;
 use serde_json::{json, Value};
@@ -153,22 +153,27 @@ fn record_derived(trace: &DarshanTrace) -> RecordDerived {
     let mut read_reuse: f64 = 0.0;
     let mut by_rank: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
     let mut shared_data = false;
-    for r in trace
-        .records
-        .iter()
-        .filter(|r| matches!(r.module, Module::Posix | Module::Mpiio))
-    {
-        let p = r.module.prefix();
-        let bytes = r.ic(&format!("{p}_BYTES_READ")) + r.ic(&format!("{p}_BYTES_WRITTEN"));
+    for r in &trace.records {
+        // Sums saturate: a crafted trace must not overflow them.
+        let bytes = match r.module {
+            Module::Posix => r
+                .int(Counter::POSIX_BYTES_READ)
+                .saturating_add(r.int(Counter::POSIX_BYTES_WRITTEN)),
+            Module::Mpiio => r
+                .int(Counter::MPIIO_BYTES_READ)
+                .saturating_add(r.int(Counter::MPIIO_BYTES_WRITTEN)),
+            _ => continue,
+        };
         if r.is_shared() && bytes > 0 {
             shared_data = true;
         }
         if r.module == Module::Posix {
             if r.rank >= 0 {
-                *by_rank.entry(r.rank).or_insert(0) += bytes;
+                let total = by_rank.entry(r.rank).or_insert(0);
+                *total = total.saturating_add(bytes);
             }
-            let br = r.ic("POSIX_BYTES_READ");
-            let range = r.ic("POSIX_MAX_BYTE_READ") + 1;
+            let br = r.int(Counter::POSIX_BYTES_READ);
+            let range = r.int(Counter::POSIX_MAX_BYTE_READ).saturating_add(1);
             if br > 0 && range > 0 {
                 read_reuse = read_reuse.max(br as f64 / range as f64);
             }

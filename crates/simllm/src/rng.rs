@@ -12,6 +12,51 @@ pub fn stable_hash(s: &str) -> u64 {
     fnv1a(s.as_bytes())
 }
 
+/// [`stable_hash`] in streaming form: text written piece by piece hashes
+/// to the same value as the concatenated string (FNV-1a is a left fold),
+/// so a caller can hash text it never builds.
+///
+/// ```
+/// use simllm::rng::{stable_hash, StableHasher};
+/// use std::fmt::Write;
+///
+/// let mut h = StableHasher::new();
+/// write!(h, "{}-{}", "trace", 7).unwrap();
+/// assert_eq!(h.finish(), stable_hash("trace-7"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct StableHasher(u64);
+
+impl StableHasher {
+    /// The state of [`stable_hash`] of the empty string.
+    pub fn new() -> Self {
+        StableHasher(FNV_OFFSET)
+    }
+
+    /// Continue the hash over `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_from(self.0, bytes);
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for StableHasher {
+    fn default() -> Self {
+        StableHasher::new()
+    }
+}
+
+impl std::fmt::Write for StableHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// The FNV-1a 64-bit state before any byte: [`fnv1a`] of nothing.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The FNV-1a 64-bit multiplier.

@@ -73,7 +73,9 @@ pub fn reference_detect(trace: &DarshanTrace) -> BTreeSet<IssueLabel> {
             .filter(|r| r.is_shared() && matches!(r.module, Module::Posix | Module::Mpiio))
             .any(|r| {
                 let p = r.module.prefix();
-                r.ic(&format!("{p}_BYTES_READ")) + r.ic(&format!("{p}_BYTES_WRITTEN")) > 0
+                r.ic(&format!("{p}_BYTES_READ"))
+                    .saturating_add(r.ic(&format!("{p}_BYTES_WRITTEN")))
+                    > 0
             });
         if shared_with_data {
             out.insert(IssueLabel::SharedFileAccess);
@@ -83,7 +85,7 @@ pub fn reference_detect(trace: &DarshanTrace) -> BTreeSet<IssueLabel> {
     // --- Repetitive reads (per-record reuse) --------------------------------
     let repetitive = trace.records_for(Module::Posix).any(|r| {
         let bytes = r.ic("POSIX_BYTES_READ");
-        let range = r.ic("POSIX_MAX_BYTE_READ") + 1;
+        let range = r.ic("POSIX_MAX_BYTE_READ").saturating_add(1);
         bytes > 0 && range > 0 && bytes as f64 / range as f64 > th::READ_REUSE_FACTOR
     });
     if repetitive {
@@ -105,11 +107,13 @@ pub fn reference_detect(trace: &DarshanTrace) -> BTreeSet<IssueLabel> {
         let mut by_rank: BTreeMap<i64, i64> = BTreeMap::new();
         for r in trace.records_for(Module::Posix) {
             if r.rank >= 0 {
-                *by_rank.entry(r.rank).or_insert(0) +=
-                    r.ic("POSIX_BYTES_READ") + r.ic("POSIX_BYTES_WRITTEN");
+                let total = by_rank.entry(r.rank).or_insert(0);
+                *total = total
+                    .saturating_add(r.ic("POSIX_BYTES_READ"))
+                    .saturating_add(r.ic("POSIX_BYTES_WRITTEN"));
             }
         }
-        let total: i64 = by_rank.values().sum();
+        let total = by_rank.values().fold(0i64, |acc, v| acc.saturating_add(*v));
         if by_rank.len() >= 2 && total > 0 {
             let vals: Vec<f64> = by_rank.values().map(|&v| v as f64).collect();
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;

@@ -214,3 +214,59 @@ fn tiny_queue_applies_backpressure_without_deadlock() {
     assert_eq!(service.stats().jobs_completed, 10);
     service.shutdown();
 }
+
+/// A crafted trace whose byte counters sit at `i64::MAX` on several
+/// records: every per-record and per-rank byte sum on the ingest and
+/// summary paths would overflow unless it saturates. Test builds run with
+/// overflow checks, so an unchecked `+` panics here and the service
+/// answers `error_kind: "internal"` instead of a diagnosis.
+fn saturating_trace() -> darshan::DarshanTrace {
+    let max = i64::MAX;
+    let mut text = String::from(
+        "# darshan log version: 3.41\n# exe: ./huge\n# nprocs: 4\n# run time: 10.00\n",
+    );
+    for (module, rank, id, file) in [
+        ("POSIX", 0, 1, "/scratch/a"),
+        ("POSIX", 1, 2, "/scratch/b"),
+        ("POSIX", -1, 3, "/scratch/shared"),
+        ("MPIIO", -1, 3, "/scratch/shared"),
+        ("STDIO", 0, 4, "/home/log"),
+    ] {
+        for counter in [
+            "BYTES_READ",
+            "BYTES_WRITTEN",
+            "MAX_BYTE_READ",
+            "READS",
+            "WRITES",
+        ] {
+            let counter = match (module, counter) {
+                ("MPIIO", "READS") => "INDEP_READS",
+                ("MPIIO", "WRITES") => "INDEP_WRITES",
+                _ => counter,
+            };
+            text.push_str(&format!(
+                "{module}\t{rank}\t{id}\t{module}_{counter}\t{max}\t{file}\t/scratch\tlustre\n"
+            ));
+        }
+    }
+    darshan::parse::parse_text(&text).expect("crafted trace parses")
+}
+
+#[test]
+fn counters_at_i64_max_still_diagnose() {
+    let trace = saturating_trace();
+    assert_eq!(trace.total_bytes(), i64::MAX as u64);
+    let fragments = preprocessor::extract_fragments(&trace);
+    assert!(!fragments.is_empty());
+
+    let service = DiagnosisService::start(ServiceConfig::with_workers(1).cache_capacity(0));
+    let result = service
+        .submit(JobRequest::new("huge", trace, "gpt-4o"))
+        .expect("submit")
+        .wait();
+    assert_eq!(result.failure, None, "the job failed instead of diagnosing");
+    assert!(!result.diagnosis.text.is_empty());
+    let reply = ioagentd::protocol::render_result(&result);
+    assert!(!reply.contains("error_kind"), "{reply}");
+    service.shutdown();
+}
